@@ -1,10 +1,8 @@
 //! Convolution and pooling ops (im2col lowering shared with quadratic convs).
 
 use crate::graph::{Graph, Var};
-use qn_tensor::{
-    avg_pool2d, avg_pool2d_backward, col2im, im2col, max_pool2d, max_pool2d_backward, Conv2dSpec,
-    PoolSpec, Tensor,
-};
+use crate::kernels::{self, eval};
+use qn_tensor::{avg_pool2d_backward, col2im, max_pool2d_backward, Conv2dSpec, PoolSpec, Tensor};
 
 impl Graph {
     /// Lowers `[B, C, H, W]` to patch rows `[B·OH·OW, C·K·K]` (differentiable
@@ -16,7 +14,7 @@ impl Graph {
     /// Panics if the input is not 4-D or smaller than the kernel.
     pub fn im2col(&mut self, x: Var, spec: Conv2dSpec) -> Var {
         let dims = self.value(x).dims4();
-        let value = im2col(self.value(x), spec);
+        let value = eval(|o| kernels::im2col(o, self.value(x), spec));
         self.push_ephemeral(
             value,
             vec![x.id],
@@ -25,23 +23,45 @@ impl Graph {
     }
 
     /// 2-D convolution of `[B, C, H, W]` with filters `[OC, C, K, K]`,
-    /// producing `[B, OC, OH, OW]`.
+    /// producing `[B, OC, OH, OW]` as one node. The forward writes NCHW
+    /// directly; the backward pass is the im2col → `matmul_transb` →
+    /// reshape → permute chain rule: un-permute the gradient to patch-major
+    /// rows, then `dcols = g·W`, `dW = gᵀ·cols`, and `col2im(dcols)`.
     ///
     /// # Panics
     ///
     /// Panics on geometry mismatch.
     pub fn conv2d(&mut self, x: Var, weight: Var, spec: Conv2dSpec) -> Var {
-        let (b, c, h, w) = self.value(x).dims4();
-        let (oc, wc, kh, kw) = self.value(weight).dims4();
-        assert_eq!(c, wc, "conv2d channel mismatch: input {c}, weight {wc}");
-        assert_eq!(kh, spec.kernel, "conv2d kernel mismatch");
-        assert_eq!(kw, spec.kernel, "conv2d kernel mismatch");
+        let dims = self.value(x).dims4();
+        let wdims = self.value(weight).shape().dims().to_vec();
+        let mut value = kernels::fresh();
+        let cols = kernels::conv2d(&mut value, self.value(x), self.value(weight), spec, |n| {
+            vec![0.0f32; n]
+        });
+        let (b, c, h, w) = dims;
         let (oh, ow) = spec.output_hw(h, w);
-        let cols = self.im2col(x, spec); // [B*OH*OW, C*K*K]
-        let wmat = self.reshape(weight, &[oc, c * kh * kw]);
-        let out = self.matmul_transb(cols, wmat); // [B*OH*OW, OC]
-        let out = self.reshape(out, &[b, oh, ow, oc]);
-        self.permute(out, &[0, 3, 1, 2])
+        let (rows, oc, n) = (b * oh * ow, wdims[0], spec.patch_len(c));
+        let cols = Tensor::from_vec(cols, &[rows, n]).expect("patch matrix shape consistent");
+        let wmat = self
+            .value(weight)
+            .reshape(&[oc, n])
+            .expect("weight rows consistent");
+        self.push_ephemeral(
+            value,
+            vec![x.id, weight.id],
+            Some(Box::new(move |g: Tensor| {
+                let g = g
+                    .permute(&[0, 2, 3, 1])
+                    .into_reshaped(&[rows, oc])
+                    .expect("gradient shape consistent");
+                let dcols = g.matmul(&wmat);
+                let dw = g.matmul_transa(&cols);
+                vec![
+                    col2im(&dcols, spec, dims),
+                    dw.into_reshaped(&wdims).expect("weight shape consistent"),
+                ]
+            })),
+        )
     }
 
     /// Max pooling with a square window.
@@ -51,7 +71,8 @@ impl Graph {
     /// Panics if the input is not 4-D or smaller than the window.
     pub fn max_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var {
         let dims = self.value(x).dims4();
-        let (value, argmax) = max_pool2d(self.value(x), spec);
+        let mut argmax = Vec::new();
+        let value = eval(|o| kernels::max_pool(o, self.value(x), spec, Some(&mut argmax)));
         self.push_ephemeral(
             value,
             vec![x.id],
@@ -68,7 +89,7 @@ impl Graph {
     /// Panics if the input is not 4-D or smaller than the window.
     pub fn avg_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var {
         let dims = self.value(x).dims4();
-        let value = avg_pool2d(self.value(x), spec);
+        let value = eval(|o| kernels::avg_pool(o, self.value(x), spec));
         self.push_ephemeral(
             value,
             vec![x.id],
@@ -78,17 +99,48 @@ impl Graph {
         )
     }
 
-    /// Global average pooling: `[B, C, H, W] -> [B, C]`.
+    /// Global average pooling: `[B, C, H, W] -> [B, C]`, one node whose
+    /// backward spreads the gradient like the full-window average pool.
     ///
     /// # Panics
     ///
-    /// Panics if the input is not 4-D.
+    /// Panics if the input is not 4-D or not square.
     pub fn global_avg_pool(&mut self, x: Var) -> Var {
-        let (b, c, h, w) = self.value(x).dims4();
-        let spec = PoolSpec::new(h, 1);
-        assert_eq!(h, w, "global_avg_pool expects square feature maps");
-        let pooled = self.avg_pool2d(x, spec); // [B, C, 1, 1]
-        self.reshape(pooled, &[b, c])
+        let dims = self.value(x).dims4();
+        let value = eval(|o| kernels::global_avg_pool(o, self.value(x)));
+        let (b, c, h, _) = dims;
+        self.push_ephemeral(
+            value,
+            vec![x.id],
+            Some(Box::new(move |g: Tensor| {
+                let g = g
+                    .into_reshaped(&[b, c, 1, 1])
+                    .expect("pooled shape consistent");
+                vec![avg_pool2d_backward(&g, PoolSpec::new(h, 1), dims)]
+            })),
+        )
+    }
+
+    /// Reorders patch-major rows `[B·OH·OW, C]` into a `[B, C, OH, OW]` map
+    /// (see [`Exec::rows_to_nchw`](crate::Exec::rows_to_nchw)) as one node;
+    /// the backward pass applies the inverse reorder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` does not hold `B·OH·OW·C` values.
+    pub fn rows_to_nchw(&mut self, v: Var, b: usize, oh: usize, ow: usize, c: usize) -> Var {
+        let vdims = self.value(v).shape().dims().to_vec();
+        let value = eval(|o| kernels::rows_to_nchw(o, self.value(v), b, oh, ow, c));
+        self.push_ephemeral(
+            value,
+            vec![v.id],
+            Some(Box::new(move |g: Tensor| {
+                vec![g
+                    .permute(&[0, 2, 3, 1])
+                    .into_reshaped(&vdims)
+                    .expect("row shape consistent")]
+            })),
+        )
     }
 }
 

@@ -1,11 +1,16 @@
 //! Dual-mode execution: the [`Exec`] context abstraction and the tape-free
 //! [`EagerExec`] arena.
 //!
-//! Every layer's forward pass is written once against [`Exec`]. Running it
-//! on a [`Graph`] records the differentiation tape (training); running it on
-//! an [`EagerExec`] evaluates the same arithmetic eagerly with **no** tape
-//! nodes, no backward closures and none of the operand clones the tape
-//! retains for the backward pass (inference/serving).
+//! Every layer's forward pass is written once against [`Exec`], and every
+//! op's forward value comes from one kernel (the crate-private `kernels`
+//! module) that writes into a caller-provided output. Running a forward on
+//! a [`Graph`] calls that kernel into a fresh tensor and records the
+//! differentiation tape around it — parents, backward closure, and whether
+//! the value is saved for backward (training). Running it on an
+//! [`EagerExec`] calls the same kernel into a recycled arena slot with
+//! **no** tape nodes, backward closures or operand clones (inference and
+//! serving). Both contexts therefore produce bit-identical values in every
+//! kernel profile.
 //!
 //! [`Var`] handles are indices into whichever context produced them; a `Var`
 //! from one context is meaningless in another.
@@ -26,20 +31,15 @@
 //! let mut e = EagerExec::new();
 //! let v2 = e.leaf(x);
 //! let y2 = e.relu(v2);
-//! assert!(g.value(y).allclose(e.value(y2), 0.0));
+//! assert!(g.value(y).bit_identical(e.value(y2)));
 //! # Ok(())
 //! # }
 //! ```
 
 use crate::graph::{Graph, Var};
-use crate::nnops::{layer_norm_infer_into, softmax_rows_inplace};
-use crate::ops::bcast_lead;
+use crate::kernels::{self, channel_vec, Stage, MAX_STAGES};
 use crate::Parameter;
-use crate::PAR_MIN_ELEMS;
-use qn_tensor::{
-    avg_pool2d_into, elemwise, gemm, gemm_batched, im2col_into, max_pool2d_into, BufferPool,
-    Conv2dSpec, MatMut, MatRef, PoolSpec, Tensor, TensorError,
-};
+use qn_tensor::{elemwise, BufferPool, Conv2dSpec, PoolSpec, Tensor};
 use std::sync::Arc;
 
 /// One stage of a fused elementwise pipeline over a `[B, C, H, W]`
@@ -58,8 +58,8 @@ pub enum ChainStage<'a> {
     /// Inference batch normalization
     /// `v = (v - mean[c]) · 1/√(var[c] + eps) · gamma[c] + beta[c]`
     /// ([`Exec::batch_norm2d`] with running statistics). Inference-only:
-    /// the default decomposition panics if the context is in training mode
-    /// (training must go through the layer so running stats update).
+    /// a training-mode [`Graph`] panics on it (training must go through the
+    /// layer so running stats update).
     NormChannel {
         /// Per-channel scale parameter (`[C]`).
         gamma: Var,
@@ -82,11 +82,13 @@ pub enum ChainStage<'a> {
 /// Execution context for a forward pass: either the differentiation tape
 /// ([`Graph`]) or the allocation-light eager arena ([`EagerExec`]).
 ///
-/// The op set mirrors [`Graph`]'s inherent forward ops one-to-one; both
-/// implementations produce bitwise-identical values (the equivalence
-/// property suites in `qn-nn` and `qn-core` assert this for every layer and
-/// neuron family). Ops panic on shape mismatch exactly like their taped
-/// counterparts — see each [`Graph`] method for the per-op contract.
+/// The op set mirrors [`Graph`]'s inherent forward ops one-to-one. Both
+/// implementations compute each value with the same forward kernel, so
+/// they agree **bit for bit** under either kernel profile (the
+/// equivalence property suites in `qn-nn` and `qn-core` assert this for
+/// every layer and neuron family). Ops panic on shape mismatch exactly like
+/// their taped counterparts — see each [`Graph`] method for the per-op
+/// contract.
 ///
 /// Loss functions (`softmax_cross_entropy*`) and [`Graph::backward`] remain
 /// tape-only: they exist to produce gradients.
@@ -139,7 +141,8 @@ pub trait Exec {
     /// Multiplies a `[B, C, H, W]` activation by a per-channel scale `[C]`.
     fn mul_channel(&mut self, a: Var, scale: Var) -> Var;
 
-    /// Reshapes to `dims` (element count must match).
+    /// Reshapes to `dims` (element count must match). Reshaping to the
+    /// unchanged shape returns `a` itself.
     fn reshape(&mut self, a: Var, dims: &[usize]) -> Var;
     /// Permutes axes.
     fn permute(&mut self, a: Var, axes: &[usize]) -> Var;
@@ -207,48 +210,37 @@ pub trait Exec {
 
     // ----- fused composites -----------------------------------------------
     //
-    // Composite ops with a default decomposition into the primitives above.
-    // The tape uses the defaults (so gradients flow through the recorded
-    // primitives); `EagerExec` overrides them with single-pass kernels that
-    // skip the intermediate allocations. Both produce bitwise-identical
-    // values.
+    // Ops that would otherwise be chains of primitives. Each is one kernel
+    // pass and — on a `Graph` — one tape node whose backward closure calls
+    // the same backward primitives, in the same order, as the chain it
+    // replaces, so values and gradients equal the decomposition's bit for
+    // bit (`tests/composite_spec.rs` keeps the decompositions as the
+    // executable reference).
 
     /// The quadratic energy `y₂[r, j] = Σᵢ λ[j, i] · f[r, j·k + i]²` of the
     /// paper's efficient neuron: `f` is `[rows, m·k]` (per-neuron feature
     /// groups of width `k`), `lambda` is `[m, k]`; returns `[rows, m]`.
-    fn weighted_square_sum(&mut self, f: Var, lambda: Var, neurons: usize, k: usize) -> Var {
-        let rows = self.value(f).shape().dim(0);
-        let f3 = self.reshape(f, &[rows, neurons, k]);
-        let fsq = self.square(f3);
-        let weighted = self.mul_bcast(fsq, lambda);
-        self.sum_axis(weighted, 2)
-    }
+    /// Equals `square → mul_bcast → sum_axis` over `f` viewed as
+    /// `[rows, m, k]`.
+    fn weighted_square_sum(&mut self, f: Var, lambda: Var, neurons: usize, k: usize) -> Var;
 
     /// Interleaves scalar outputs `y` (`[rows, m]`) with their feature
     /// groups `f` (`[rows, m·k]`) neuron-major into `[rows, m·(k+1)]`:
     /// `[y₀, f₀…, y₁, f₁…, …]` — the paper's vectorized output layout.
-    fn interleave_last(&mut self, y: Var, f: Var, k: usize) -> Var {
-        let (rows, m) = self.value(y).dims2();
-        let f3 = self.reshape(f, &[rows, m, k]);
-        let y3 = self.reshape(y, &[rows, m, 1]);
-        let out3 = self.concat(&[y3, f3], 2);
-        self.reshape(out3, &[rows, m * (k + 1)])
-    }
+    fn interleave_last(&mut self, y: Var, f: Var, k: usize) -> Var;
 
     /// Reinterprets patch-major rows `[B·OH·OW, C]` (the output of a dense
     /// layer applied to im2col patches) as a `[B, C, OH, OW]` feature map.
-    fn rows_to_nchw(&mut self, v: Var, b: usize, oh: usize, ow: usize, c: usize) -> Var {
-        let r = self.reshape(v, &[b, oh, ow, c]);
-        self.permute(r, &[0, 3, 1, 2])
-    }
+    fn rows_to_nchw(&mut self, v: Var, b: usize, oh: usize, ow: usize, c: usize) -> Var;
 
-    /// Fused elementwise pipeline over a `[B, C, H, W]` activation: applies
-    /// the [`ChainStage`]s left to right. The default decomposes into the
-    /// primitive ops (so the tape records every stage and gradients flow);
-    /// `EagerExec` overrides it with a **single pass** over the activation —
-    /// bias + norm + activation + residual in one sweep instead of one full
-    /// memory pass per stage. Both produce bitwise-identical values because
-    /// each element sees the same scalar expressions in the same order.
+    /// Elementwise pipeline over a `[B, C, H, W]` activation: applies the
+    /// [`ChainStage`]s left to right. [`EagerExec`] runs the whole chain as
+    /// a **single pass** over the activation — bias + norm + activation +
+    /// residual in one sweep instead of one full memory pass per stage. A
+    /// [`Graph`] records one node per stage (each stage owns its backward),
+    /// computed by the same kernel one stage at a time; the values are
+    /// bitwise-identical because each element sees the same scalar
+    /// expressions in the same order.
     ///
     /// # Panics
     ///
@@ -256,32 +248,19 @@ pub trait Exec {
     /// applies), and if a [`ChainStage::NormChannel`] stage runs in a
     /// training-mode context (running statistics would silently not
     /// update — use the normalization layer's training path instead).
-    fn elemwise_chain(&mut self, x: Var, stages: &[ChainStage<'_>]) -> Var {
-        let mut v = x;
-        for stage in stages {
-            v = match *stage {
-                ChainStage::AddChannel(bias) => self.add_channel(v, bias),
-                ChainStage::MulChannel(scale) => self.mul_channel(v, scale),
-                ChainStage::NormChannel {
-                    gamma,
-                    beta,
-                    mean,
-                    var,
-                    eps,
-                } => {
-                    let (y, stats) = self.batch_norm2d(v, gamma, beta, mean, var, eps);
-                    assert!(
-                        stats.is_none(),
-                        "elemwise_chain norm stages are inference-only"
-                    );
-                    y
-                }
-                ChainStage::Relu => self.relu(v),
-                ChainStage::AddResidual(r) => self.add(v, r),
-            };
-        }
-        v
-    }
+    fn elemwise_chain(&mut self, x: Var, stages: &[ChainStage<'_>]) -> Var;
+
+    /// Inference-only hook for kernels outside the op set (the int8 tier):
+    /// `kernel` reads `x`'s value and fully overwrites the output, a tensor
+    /// of shape `dims`. No gradient flows through the result — on a
+    /// [`Graph`] it is a leaf; [`EagerExec`] writes it into a recycled slot,
+    /// so a steady-state pass allocates nothing.
+    fn detached(
+        &mut self,
+        x: Var,
+        dims: &[usize],
+        kernel: &mut dyn FnMut(&Tensor, &mut [f32]),
+    ) -> Var;
 }
 
 impl Exec for Graph {
@@ -311,9 +290,6 @@ impl Exec for Graph {
     }
     fn add_scalar(&mut self, a: Var, s: f32) -> Var {
         Graph::add_scalar(self, a, s)
-    }
-    fn neg(&mut self, a: Var) -> Var {
-        Graph::neg(self, a)
     }
     fn square(&mut self, a: Var) -> Var {
         Graph::square(self, a)
@@ -357,14 +333,8 @@ impl Exec for Graph {
     fn sum_all(&mut self, a: Var) -> Var {
         Graph::sum_all(self, a)
     }
-    fn mean_all(&mut self, a: Var) -> Var {
-        Graph::mean_all(self, a)
-    }
     fn sum_axis(&mut self, a: Var, axis: usize) -> Var {
         Graph::sum_axis(self, a, axis)
-    }
-    fn mean_axis(&mut self, a: Var, axis: usize) -> Var {
-        Graph::mean_axis(self, a, axis)
     }
     fn matmul(&mut self, a: Var, b: Var) -> Var {
         Graph::matmul(self, a, b)
@@ -413,6 +383,51 @@ impl Exec for Graph {
     fn dropout(&mut self, x: Var, p: f32) -> Var {
         Graph::dropout(self, x, p)
     }
+    fn weighted_square_sum(&mut self, f: Var, lambda: Var, neurons: usize, k: usize) -> Var {
+        Graph::weighted_square_sum(self, f, lambda, neurons, k)
+    }
+    fn interleave_last(&mut self, y: Var, f: Var, k: usize) -> Var {
+        Graph::interleave_last(self, y, f, k)
+    }
+    fn rows_to_nchw(&mut self, v: Var, b: usize, oh: usize, ow: usize, c: usize) -> Var {
+        Graph::rows_to_nchw(self, v, b, oh, ow, c)
+    }
+    fn elemwise_chain(&mut self, x: Var, stages: &[ChainStage<'_>]) -> Var {
+        let mut v = x;
+        for stage in stages {
+            v = match *stage {
+                ChainStage::AddChannel(bias) => self.add_channel(v, bias),
+                ChainStage::MulChannel(scale) => self.mul_channel(v, scale),
+                ChainStage::NormChannel {
+                    gamma,
+                    beta,
+                    mean,
+                    var,
+                    eps,
+                } => {
+                    let (y, stats) = self.batch_norm2d(v, gamma, beta, mean, var, eps);
+                    assert!(
+                        stats.is_none(),
+                        "elemwise_chain norm stages are inference-only"
+                    );
+                    y
+                }
+                ChainStage::Relu => self.relu(v),
+                ChainStage::AddResidual(r) => self.add(v, r),
+            };
+        }
+        v
+    }
+    fn detached(
+        &mut self,
+        x: Var,
+        dims: &[usize],
+        kernel: &mut dyn FnMut(&Tensor, &mut [f32]),
+    ) -> Var {
+        let mut out = Tensor::zeros(dims);
+        kernel(self.value(x), out.data_mut());
+        self.leaf(out)
+    }
 }
 
 /// Tape-free eager execution arena for inference.
@@ -422,13 +437,14 @@ impl Exec for Graph {
 ///
 /// - **Slot recycling (high-water-mark arena):** [`EagerExec::reset`] does
 ///   not drop the computed tensors; it rewinds a cursor. The next pass
-///   refits each slot's buffer in place, so a steady-state serving loop
-///   that repeats the same op sequence (the common case: one model, one
-///   request shape) performs **zero heap allocations** — the `alloc` bench
-///   in `qn-bench` proves this with a counting allocator.
+///   hands each op kernel its slot's tensor to refit in place, so a
+///   steady-state serving loop that repeats the same op sequence (the
+///   common case: one model, one request shape) performs **zero heap
+///   allocations** — the `alloc` bench in `qn-bench` proves this with a
+///   counting allocator.
 /// - **Pooled scratch:** kernel workspace that is not an activation (the
-///   im2col patch matrix inside the fused `conv2d`, per-channel `1/σ`
-///   vectors in batch norm) is drawn from — and returned to — the arena's
+///   im2col patch matrix inside `conv2d`, per-channel `1/σ` vectors in
+///   batch norm) is drawn from — and returned to — the arena's
 ///   [`BufferPool`] ([`EagerExec::with_pool`]; `new` uses the global pool).
 /// - **Parameter snapshots** are recycled across resets exactly as before:
 ///   `param` moves a weight tensor out of an internal cache instead of
@@ -438,8 +454,8 @@ impl Exec for Graph {
 ///   [`Parameter::version`], so a weight update between requests triggers
 ///   exactly one fresh snapshot.
 ///
-/// Recycled buffers carry stale contents; every op fully overwrites (or
-/// zero-fills) its output, and the `pool_equivalence` property suite
+/// Recycled buffers carry stale contents; every kernel fully overwrites
+/// (or zero-fills) its output, and the `pool_equivalence` property suite
 /// asserts pooled execution is bit-identical to fresh-allocation execution
 /// even when the pool is pre-poisoned with NaN garbage.
 ///
@@ -472,25 +488,16 @@ impl Default for EagerExec {
     }
 }
 
-/// Reads a live arena value (the immutable prefix returned by `out_slot`).
-fn live_val(head: &[Option<Tensor>], v: Var) -> &Tensor {
-    head.get(v.id)
-        .and_then(|slot| slot.as_ref())
-        .expect("var is not live in this arena")
-}
+/// The live prefix of an arena: the values op kernels read.
+#[derive(Clone, Copy)]
+struct Live<'a>(&'a [Option<Tensor>]);
 
-/// Refits a (possibly spare) slot to `dims`, reusing its buffer and shape
-/// when they match; contents are unspecified and must be fully overwritten.
-fn refit_slot<'s>(slot: &'s mut Option<Tensor>, dims: &[usize]) -> &'s mut Tensor {
-    match slot {
-        Some(t) => {
-            t.refit(dims);
-            t
-        }
-        None => {
-            *slot = Some(Tensor::zeros(dims));
-            slot.as_mut().expect("just set")
-        }
+impl<'a> Live<'a> {
+    fn get(self, v: Var) -> &'a Tensor {
+        self.0
+            .get(v.id)
+            .and_then(|slot| slot.as_ref())
+            .expect("var is not live in this arena")
     }
 }
 
@@ -559,10 +566,7 @@ impl EagerExec {
     /// Registers an input by **copying** it into a recycled slot — the
     /// allocation-free counterpart of `leaf(x.clone())`.
     pub fn leaf_view(&mut self, t: &Tensor) -> Var {
-        let (_, slot) = self.out_slot();
-        let out = refit_slot(slot, t.shape().dims());
-        out.data_mut().copy_from_slice(t.data());
-        self.commit()
+        self.leaf_reshaped(t, t.shape().dims())
     }
 
     /// Registers an input by copying it into a recycled slot under a
@@ -571,15 +575,11 @@ impl EagerExec {
     ///
     /// # Panics
     ///
-    /// Panics if `dims` has a different element count than `t`, or
-    /// `dims.len() > 16`.
+    /// Panics if `dims` has a different element count than `t`.
     pub fn leaf_reshaped(&mut self, t: &Tensor, dims: &[usize]) -> Var {
         let numel: usize = dims.iter().product();
         assert_eq!(t.numel(), numel, "leaf_reshaped element count mismatch");
-        let (_, slot) = self.out_slot();
-        let out = refit_slot(slot, dims);
-        out.data_mut().copy_from_slice(t.data());
-        self.commit()
+        self.emit(|out, _| kernels::reshape(out, t, dims))
     }
 
     /// Registers rows `[lo, hi)` of `t`'s leading axis by copying them into
@@ -591,28 +591,13 @@ impl EagerExec {
     /// Panics if `t` is rank 0, the range is out of bounds or inverted, or
     /// the rank exceeds 16.
     pub fn leaf_slice0(&mut self, t: &Tensor, lo: usize, hi: usize) -> Var {
-        let dims = t.shape().dims();
-        assert!(!dims.is_empty(), "leaf_slice0 needs a leading axis");
-        assert!(dims.len() <= 16, "leaf_slice0 supports rank <= 16");
-        assert!(
-            lo <= hi && hi <= dims[0],
-            "slice [{lo}, {hi}) out of bounds for axis of size {}",
-            dims[0]
-        );
-        let inner: usize = dims[1..].iter().product();
-        let mut nd = [0usize; 16];
-        nd[..dims.len()].copy_from_slice(dims);
-        nd[0] = hi - lo;
-        let (_, slot) = self.out_slot();
-        let out = refit_slot(slot, &nd[..dims.len()]);
-        out.data_mut()
-            .copy_from_slice(&t.data()[lo * inner..hi * inner]);
-        self.commit()
+        assert!(t.ndim() > 0, "leaf_slice0 needs a leading axis");
+        self.emit(|out, _| kernels::slice_axis(out, t, 0, lo, hi))
     }
 
     /// Moves an owned tensor into the next slot (dropping any spare buffer
-    /// the slot held). The op implementations prefer `out_slot`/`commit`,
-    /// which recycle instead.
+    /// the slot held). The op implementations use `emit`, which recycles
+    /// instead.
     fn push(&mut self, value: Tensor) -> Var {
         if self.live == self.values.len() {
             self.values.push(Some(value));
@@ -622,14 +607,15 @@ impl EagerExec {
         self.commit()
     }
 
-    /// Splits the arena into the live prefix (op inputs) and the next
-    /// output slot; `commit` afterwards makes the slot live.
-    fn out_slot(&mut self) -> (&[Option<Tensor>], &mut Option<Tensor>) {
+    /// Runs an op kernel into the next slot's (possibly spare) tensor,
+    /// reading its inputs from the live prefix, and makes the slot live.
+    fn emit(&mut self, kernel: impl FnOnce(&mut Tensor, Live<'_>)) -> Var {
         if self.live == self.values.len() {
             self.values.push(None);
         }
         let (head, tail) = self.values.split_at_mut(self.live);
-        (head, &mut tail[0])
+        kernel(tail[0].get_or_insert_with(kernels::fresh), Live(head));
+        self.commit()
     }
 
     fn commit(&mut self) -> Var {
@@ -675,152 +661,60 @@ impl Exec for EagerExec {
     }
 
     fn add(&mut self, a: Var, b: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let bv = live_val(head, b);
-        assert_eq!(
-            av.shape(),
-            bv.shape(),
-            "zip shape mismatch: {} vs {}",
-            av.shape(),
-            bv.shape()
-        );
-        let out = refit_slot(slot, av.shape().dims());
-        elemwise::add_to(out.data_mut(), av.data(), bv.data());
-        self.commit()
+        self.emit(|o, v| kernels::binary(o, v.get(a), v.get(b), elemwise::add_to))
     }
 
     fn sub(&mut self, a: Var, b: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let bv = live_val(head, b);
-        assert_eq!(
-            av.shape(),
-            bv.shape(),
-            "zip shape mismatch: {} vs {}",
-            av.shape(),
-            bv.shape()
-        );
-        let out = refit_slot(slot, av.shape().dims());
-        elemwise::sub_to(out.data_mut(), av.data(), bv.data());
-        self.commit()
+        self.emit(|o, v| kernels::binary(o, v.get(a), v.get(b), elemwise::sub_to))
     }
 
     fn mul(&mut self, a: Var, b: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let bv = live_val(head, b);
-        assert_eq!(
-            av.shape(),
-            bv.shape(),
-            "zip shape mismatch: {} vs {}",
-            av.shape(),
-            bv.shape()
-        );
-        let out = refit_slot(slot, av.shape().dims());
-        elemwise::mul_to(out.data_mut(), av.data(), bv.data());
-        self.commit()
+        self.emit(|o, v| kernels::binary(o, v.get(a), v.get(b), elemwise::mul_to))
     }
 
     fn scale(&mut self, a: Var, s: f32) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let out = refit_slot(slot, av.shape().dims());
-        elemwise::scale_to(out.data_mut(), av.data(), s);
-        self.commit()
+        self.emit(|o, v| kernels::unary(o, v.get(a), |d, x| elemwise::scale_to(d, x, s)))
     }
 
     fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let out = refit_slot(slot, av.shape().dims());
-        elemwise::add_scalar_to(out.data_mut(), av.data(), s);
-        self.commit()
+        self.emit(|o, v| kernels::unary(o, v.get(a), |d, x| elemwise::add_scalar_to(d, x, s)))
     }
 
     fn square(&mut self, a: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let out = refit_slot(slot, av.shape().dims());
-        elemwise::square_to(out.data_mut(), av.data());
-        self.commit()
+        self.emit(|o, v| kernels::unary(o, v.get(a), elemwise::square_to))
     }
 
     fn powi(&mut self, a: Var, p: i32) -> Var {
         assert!(p >= 1, "powi requires p >= 1, got {p}");
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let out = refit_slot(slot, av.shape().dims());
-        elemwise::map_to(out.data_mut(), av.data(), move |x| x.powi(p));
-        self.commit()
+        self.emit(|o, v| kernels::unary(o, v.get(a), |d, x| elemwise::map_to(d, x, |x| x.powi(p))))
     }
 
     fn relu(&mut self, a: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let out = refit_slot(slot, av.shape().dims());
-        elemwise::relu_to(out.data_mut(), av.data());
-        self.commit()
+        self.emit(|o, v| kernels::unary(o, v.get(a), elemwise::relu_to))
     }
 
     fn tanh(&mut self, a: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let out = refit_slot(slot, av.shape().dims());
-        elemwise::map_to(out.data_mut(), av.data(), |x| x.tanh());
-        self.commit()
+        self.emit(|o, v| kernels::unary(o, v.get(a), |d, x| elemwise::map_to(d, x, f32::tanh)))
     }
 
     fn sigmoid(&mut self, a: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let out = refit_slot(slot, av.shape().dims());
-        elemwise::sigmoid_to(out.data_mut(), av.data());
-        self.commit()
+        self.emit(|o, v| kernels::unary(o, v.get(a), elemwise::sigmoid_to))
     }
 
     fn add_bcast(&mut self, a: Var, b: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let bv = live_val(head, b);
-        bcast_lead(av, bv);
-        let out = refit_slot(slot, av.shape().dims());
-        let od = out.data_mut();
-        od.copy_from_slice(av.data());
-        let bl = bv.numel();
-        for chunk in od.chunks_mut(bl) {
-            for (o, &x) in chunk.iter_mut().zip(bv.data()) {
-                *o += x;
-            }
-        }
-        self.commit()
+        self.emit(|o, v| kernels::bcast(o, v.get(a), v.get(b), |x, y| x + y))
     }
 
     fn mul_bcast(&mut self, a: Var, b: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let bv = live_val(head, b);
-        bcast_lead(av, bv);
-        let out = refit_slot(slot, av.shape().dims());
-        let od = out.data_mut();
-        od.copy_from_slice(av.data());
-        let bl = bv.numel();
-        for chunk in od.chunks_mut(bl) {
-            for (o, &x) in chunk.iter_mut().zip(bv.data()) {
-                *o *= x;
-            }
-        }
-        self.commit()
+        self.emit(|o, v| kernels::bcast(o, v.get(a), v.get(b), |x, y| x * y))
     }
 
     fn add_channel(&mut self, a: Var, bias: Var) -> Var {
-        let stages = [ChainStage::AddChannel(bias)];
-        self.elemwise_chain(a, &stages)
+        self.elemwise_chain(a, &[ChainStage::AddChannel(bias)])
     }
 
     fn mul_channel(&mut self, a: Var, scale: Var) -> Var {
-        let stages = [ChainStage::MulChannel(scale)];
-        self.elemwise_chain(a, &stages)
+        self.elemwise_chain(a, &[ChainStage::MulChannel(scale)])
     }
 
     fn reshape(&mut self, a: Var, dims: &[usize]) -> Var {
@@ -828,301 +722,76 @@ impl Exec for EagerExec {
             // shape is unchanged: reuse the node, no copy
             return a;
         }
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let numel: usize = dims.iter().product();
-        if av.numel() != numel {
-            panic!(
-                "reshape: {}",
-                TensorError::ReshapeMismatch {
-                    from: av.shape().dims().to_vec(),
-                    to: dims.to_vec(),
-                }
-            );
-        }
-        let out = refit_slot(slot, dims);
-        out.data_mut().copy_from_slice(av.data());
-        self.commit()
+        self.emit(|o, v| kernels::reshape(o, v.get(a), dims))
     }
 
     fn permute(&mut self, a: Var, axes: &[usize]) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let nd = av.ndim();
-        assert_eq!(axes.len(), nd, "permute needs {nd} axes");
-        assert!(nd <= 16, "permute supports rank <= 16");
-        let old_dims = av.shape().dims();
-        let mut new_dims = [0usize; 16];
-        for (i, &ax) in axes.iter().enumerate() {
-            assert!(ax < nd, "axes must be a permutation of 0..{nd}");
-            new_dims[i] = old_dims[ax];
-        }
-        let out = refit_slot(slot, &new_dims[..nd]);
-        av.permute_into(axes, out.data_mut());
-        self.commit()
+        self.emit(|o, v| kernels::permute(o, v.get(a), axes))
     }
 
     fn concat(&mut self, parts: &[Var], axis: usize) -> Var {
-        assert!(!parts.is_empty(), "concat of zero vars");
-        let (head, slot) = self.out_slot();
-        let first = live_val(head, parts[0]);
-        let nd = first.ndim();
-        assert!(axis < nd, "axis {axis} out of range for rank {nd}");
-        assert!(nd <= 16, "concat supports rank <= 16");
-        let dims = first.shape().dims();
-        let mut total_mid = 0usize;
-        for p in parts {
-            let pv = live_val(head, *p);
-            assert_eq!(pv.ndim(), nd, "concat rank mismatch");
-            for (a, &d) in dims.iter().enumerate() {
-                if a != axis {
-                    assert_eq!(pv.shape().dim(a), d, "concat dim {a} mismatch");
-                }
-            }
-            total_mid += pv.shape().dim(axis);
-        }
-        let outer: usize = dims[..axis].iter().product();
-        let inner: usize = dims[axis + 1..].iter().product();
-        let mut out_dims = [0usize; 16];
-        out_dims[..nd].copy_from_slice(dims);
-        out_dims[axis] = total_mid;
-        let out = refit_slot(slot, &out_dims[..nd]);
-        let od = out.data_mut();
-        for o in 0..outer {
-            let mut mid_off = 0usize;
-            for p in parts {
-                let pv = live_val(head, *p);
-                let mid = pv.shape().dim(axis);
-                let src = &pv.data()[o * mid * inner..(o + 1) * mid * inner];
-                let dst_base = (o * total_mid + mid_off) * inner;
-                od[dst_base..dst_base + mid * inner].copy_from_slice(src);
-                mid_off += mid;
-            }
-        }
-        self.commit()
+        self.emit(|o, v| kernels::concat(o, parts.len(), |i| v.get(parts[i]), axis))
     }
 
     fn slice_axis(&mut self, a: Var, axis: usize, start: usize, end: usize) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let nd = av.ndim();
-        assert!(axis < nd, "axis {axis} out of range for rank {nd}");
-        assert!(nd <= 16, "slice_axis supports rank <= 16");
-        let dims = av.shape().dims();
-        assert!(
-            start <= end && end <= dims[axis],
-            "slice [{start}, {end}) out of bounds for axis of size {}",
-            dims[axis]
-        );
-        let outer: usize = dims[..axis].iter().product();
-        let inner: usize = dims[axis + 1..].iter().product();
-        let mid = dims[axis];
-        let new_mid = end - start;
-        let mut out_dims = [0usize; 16];
-        out_dims[..nd].copy_from_slice(dims);
-        out_dims[axis] = new_mid;
-        let out = refit_slot(slot, &out_dims[..nd]);
-        let od = out.data_mut();
-        for o in 0..outer {
-            let src_base = (o * mid + start) * inner;
-            let dst_base = o * new_mid * inner;
-            od[dst_base..dst_base + new_mid * inner]
-                .copy_from_slice(&av.data()[src_base..src_base + new_mid * inner]);
-        }
-        self.commit()
+        self.emit(|o, v| kernels::slice_axis(o, v.get(a), axis, start, end))
     }
 
     fn sum_all(&mut self, a: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let total: f32 = av.data().iter().sum();
-        let out = refit_slot(slot, &[1]);
-        out.data_mut()[0] = total;
-        self.commit()
+        self.emit(|o, v| kernels::sum_all(o, v.get(a)))
     }
 
     fn sum_axis(&mut self, a: Var, axis: usize) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let nd = av.ndim();
-        assert!(axis < nd, "axis {axis} out of range for rank {nd}");
-        assert!(nd <= 16, "sum_axis supports rank <= 16");
-        let dims = av.shape().dims();
-        let mut out_dims = [0usize; 16];
-        let mut odn = 0usize;
-        for (i, &d) in dims.iter().enumerate() {
-            if i != axis {
-                out_dims[odn] = d;
-                odn += 1;
-            }
-        }
-        if odn == 0 {
-            out_dims[0] = 1;
-            odn = 1;
-        }
-        let out = refit_slot(slot, &out_dims[..odn]);
-        av.sum_axis_into(axis, out.data_mut());
-        self.commit()
+        self.emit(|o, v| kernels::sum_axis(o, v.get(a), axis))
     }
 
     fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let bv = live_val(head, b);
-        assert_eq!(av.ndim(), 2, "matmul lhs must be 2-D");
-        assert_eq!(bv.ndim(), 2, "matmul rhs must be 2-D");
-        let (m, k) = av.dims2();
-        let (k2, n) = bv.dims2();
-        assert_eq!(k, k2, "matmul inner dims differ: {k} vs {k2}");
-        let out = refit_slot(slot, &[m, n]);
-        gemm(MatMut::new(out.data_mut(), m, n), av.mat(), bv.mat());
-        self.commit()
+        self.emit(|o, v| kernels::matmul(o, v.get(a), v.get(b)))
     }
 
     fn matmul_transb(&mut self, a: Var, b: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let bv = live_val(head, b);
-        assert_eq!(av.ndim(), 2, "matmul_transb lhs must be 2-D");
-        assert_eq!(bv.ndim(), 2, "matmul_transb rhs must be 2-D");
-        let (m, k) = av.dims2();
-        let (n, k2) = bv.dims2();
-        assert_eq!(k, k2, "matmul_transb trailing dims differ: {k} vs {k2}");
-        let out = refit_slot(slot, &[m, n]);
-        gemm(
-            MatMut::new(out.data_mut(), m, n),
-            av.mat(),
-            bv.mat().transpose(),
-        );
-        self.commit()
+        self.emit(|o, v| kernels::matmul_transb(o, v.get(a), v.get(b)))
     }
 
     fn bmm(&mut self, a: Var, b: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let av = live_val(head, a);
-        let bv = live_val(head, b);
-        let (n, m, _k, p) = crate::matops::bmm_dims(av, bv);
-        let out = refit_slot(slot, &[n, m, p]);
-        crate::matops::bmm_forward_into(out.data_mut(), av, bv);
-        self.commit()
+        self.emit(|o, v| kernels::bmm(o, v.get(a), v.get(b)))
     }
 
     fn im2col(&mut self, x: Var, spec: Conv2dSpec) -> Var {
-        let (head, slot) = self.out_slot();
-        let xv = live_val(head, x);
-        let (b, c, h, w) = xv.dims4();
-        let (oh, ow) = spec.output_hw(h, w);
-        let patch = c * spec.kernel * spec.kernel;
-        let out = refit_slot(slot, &[b * oh * ow, patch]);
-        im2col_into(out.data_mut(), xv, spec);
-        self.commit()
+        self.emit(|o, v| kernels::im2col(o, v.get(x), spec))
     }
 
     fn conv2d(&mut self, x: Var, weight: Var, spec: Conv2dSpec) -> Var {
-        // Fused lowering through the shared GEMM core: per sample, the
-        // output plane block `[OC, OH·OW]` is `W [OC, n] @ colsᵀ [n, OH·OW]`
-        // with the im2col transpose as a zero-copy stride swap — the same
-        // arithmetic as the taped im2col → matmul_transb → reshape → permute
-        // pipeline (bit-identical), minus two full-tensor copies. The patch
-        // matrix itself lives in pool-recycled scratch, so the steady state
-        // allocates nothing.
+        // the patch matrix lives in pool scratch (an RAII handout that
+        // returns to the pool when dropped, panic paths included), so the
+        // steady state allocates nothing
         let pool = Arc::clone(&self.pool);
-        let (head, slot) = self.out_slot();
-        let xv = live_val(head, x);
-        let wv = live_val(head, weight);
-        let (b, c, h, w) = xv.dims4();
-        let (oc, wc, kh, kw) = wv.dims4();
-        assert_eq!(c, wc, "conv2d channel mismatch: input {c}, weight {wc}");
-        assert_eq!(kh, spec.kernel, "conv2d kernel mismatch");
-        assert_eq!(kw, spec.kernel, "conv2d kernel mismatch");
-        let (oh, ow) = spec.output_hw(h, w);
-        let n = c * kh * kw;
-        let hw = oh * ow;
-        // RAII handout: the patch matrix returns to the pool when `cols`
-        // drops, panic paths included
-        let mut cols = BufferPool::take_ref(&pool, b * hw * n);
-        im2col_into(&mut cols, xv, spec);
-        let out = refit_slot(slot, &[b, oc, oh, ow]);
-        {
-            let wdata = wv.data(); // [OC, n] row-major
-            gemm_batched(
-                out.data_mut(),
-                b,
-                oc,
-                hw,
-                n,
-                |_| MatRef::new(wdata, oc, n),
-                |bi| MatRef::new(&cols[bi * hw * n..(bi + 1) * hw * n], hw, n).transpose(),
-            );
-        }
-        drop(cols);
-        self.commit()
+        self.emit(|o, v| {
+            kernels::conv2d(o, v.get(x), v.get(weight), spec, |n| {
+                BufferPool::take_ref(&pool, n)
+            });
+        })
     }
 
     fn max_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var {
-        // values-only kernel: inference never needs the argmax indices
-        let (head, slot) = self.out_slot();
-        let xv = live_val(head, x);
-        let (b, c, h, w) = xv.dims4();
-        let (oh, ow) = spec.output_hw(h, w);
-        let out = refit_slot(slot, &[b, c, oh, ow]);
-        max_pool2d_into(out.data_mut(), xv, spec);
-        self.commit()
+        // values only: inference never needs the argmax indices
+        self.emit(|o, v| kernels::max_pool(o, v.get(x), spec, None))
     }
 
     fn avg_pool2d(&mut self, x: Var, spec: PoolSpec) -> Var {
-        let (head, slot) = self.out_slot();
-        let xv = live_val(head, x);
-        let (b, c, h, w) = xv.dims4();
-        let (oh, ow) = spec.output_hw(h, w);
-        let out = refit_slot(slot, &[b, c, oh, ow]);
-        avg_pool2d_into(out.data_mut(), xv, spec);
-        self.commit()
+        self.emit(|o, v| kernels::avg_pool(o, v.get(x), spec))
     }
 
     fn global_avg_pool(&mut self, x: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let xv = live_val(head, x);
-        let (b, c, h, w) = xv.dims4();
-        assert_eq!(h, w, "global_avg_pool expects square feature maps");
-        // single pass, same summation order as avg_pool2d over a full window
-        let norm = 1.0 / (h * w) as f32;
-        let data = xv.data();
-        let out = refit_slot(slot, &[b, c]);
-        qn_parallel::par_chunks_mut_min(out.data_mut(), c.max(1), PAR_MIN_ELEMS, |bi, orow| {
-            for (ci, o) in orow.iter_mut().enumerate() {
-                let base = (bi * c + ci) * h * w;
-                let mut acc = 0.0f32;
-                for &v in &data[base..base + h * w] {
-                    acc += v;
-                }
-                *o = acc * norm;
-            }
-        });
-        self.commit()
+        self.emit(|o, v| kernels::global_avg_pool(o, v.get(x)))
     }
 
     fn softmax_last(&mut self, x: Var) -> Var {
-        let (head, slot) = self.out_slot();
-        let xv = live_val(head, x);
-        let last = xv.shape().dims().last().copied().unwrap_or(1);
-        let out = refit_slot(slot, xv.shape().dims());
-        let od = out.data_mut();
-        od.copy_from_slice(xv.data());
-        softmax_rows_inplace(od, last);
-        self.commit()
+        self.emit(|o, v| kernels::softmax_last(o, v.get(x)))
     }
 
     fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
-        // shared inference kernel, with no x̂ / 1/σ capture (nothing to
-        // backprop) and the output written straight into the recycled slot
-        let (head, slot) = self.out_slot();
-        let xv = live_val(head, x);
-        let gv = live_val(head, gamma);
-        let bv = live_val(head, beta);
-        let out = refit_slot(slot, xv.shape().dims());
-        layer_norm_infer_into(out.data_mut(), xv, gv, bv, eps);
-        self.commit()
+        self.emit(|o, v| kernels::layer_norm(o, v.get(x), v.get(gamma), v.get(beta), eps))
     }
 
     fn batch_norm2d(
@@ -1134,8 +803,8 @@ impl Exec for EagerExec {
         running_var: &Tensor,
         eps: f32,
     ) -> (Var, Option<(Tensor, Tensor)>) {
-        // Inference-only: normalize with running statistics through the
-        // fused chain (one pass, pooled 1/σ scratch, recycled output slot).
+        // inference-only: normalize with running statistics through the
+        // chain kernel (one pass, pooled 1/σ scratch, recycled output slot)
         let stages = [ChainStage::NormChannel {
             gamma,
             beta,
@@ -1147,18 +816,7 @@ impl Exec for EagerExec {
     }
 
     fn embedding(&mut self, weight: Var, ids: &[usize]) -> Var {
-        let (head, slot) = self.out_slot();
-        let wv = live_val(head, weight);
-        let (v, d) = wv.dims2();
-        for &id in ids {
-            assert!(id < v, "token id {id} out of range for vocab {v}");
-        }
-        let out = refit_slot(slot, &[ids.len(), d]);
-        let od = out.data_mut();
-        for (row, &id) in ids.iter().enumerate() {
-            od[row * d..(row + 1) * d].copy_from_slice(&wv.data()[id * d..(id + 1) * d]);
-        }
-        self.commit()
+        self.emit(|o, v| kernels::embedding(o, v.get(weight), ids))
     }
 
     fn dropout(&mut self, x: Var, p: f32) -> Var {
@@ -1171,315 +829,81 @@ impl Exec for EagerExec {
     }
 
     fn weighted_square_sum(&mut self, f: Var, lambda: Var, neurons: usize, k: usize) -> Var {
-        // single pass over f: same per-term expression and summation order as
-        // the default square → mul_bcast → sum_axis decomposition
-        let (head, slot) = self.out_slot();
-        let fv = live_val(head, f);
-        let lv = live_val(head, lambda);
-        let (rows, mk) = fv.dims2();
-        assert_eq!(mk, neurons * k, "feature width {mk} != {neurons}·{k}");
-        assert_eq!(lv.numel(), neurons * k, "lambda size mismatch");
-        let fd = fv.data();
-        let ld = lv.data();
-        let out = refit_slot(slot, &[rows, neurons]);
-        let fast = qn_simd::KernelProfile::active() == qn_simd::KernelProfile::Fast;
-        qn_parallel::par_chunks_mut_min(
-            out.data_mut(),
-            neurons.max(1),
-            PAR_MIN_ELEMS,
-            |r, orow| {
-                if fast {
-                    qn_simd::weighted_square_row(orow, &fd[r * mk..(r + 1) * mk], ld, k);
-                    return;
-                }
-                for (j, o) in orow.iter_mut().enumerate() {
-                    let base = r * mk + j * k;
-                    let mut acc = 0.0f32;
-                    for i in 0..k {
-                        let x = fd[base + i];
-                        acc += x * x * ld[j * k + i];
-                    }
-                    *o = acc;
-                }
-            },
-        );
-        self.commit()
+        self.emit(|o, v| kernels::weighted_square_sum(o, v.get(f), v.get(lambda), neurons, k))
     }
 
     fn interleave_last(&mut self, y: Var, f: Var, k: usize) -> Var {
-        let (head, slot) = self.out_slot();
-        let yv = live_val(head, y);
-        let fv = live_val(head, f);
-        let (rows, m) = yv.dims2();
-        assert_eq!(fv.numel(), rows * m * k, "feature size mismatch");
-        let yd = yv.data();
-        let fd = fv.data();
-        let out = refit_slot(slot, &[rows, m * (k + 1)]);
-        qn_parallel::par_chunks_mut_min(
-            out.data_mut(),
-            (m * (k + 1)).max(1),
-            PAR_MIN_ELEMS,
-            |r, orow| {
-                for j in 0..m {
-                    let dst = j * (k + 1);
-                    orow[dst] = yd[r * m + j];
-                    orow[dst + 1..dst + 1 + k]
-                        .copy_from_slice(&fd[r * m * k + j * k..r * m * k + (j + 1) * k]);
-                }
-            },
-        );
-        self.commit()
+        self.emit(|o, v| kernels::interleave_last(o, v.get(y), v.get(f), k))
     }
 
-    fn rows_to_nchw(&mut self, v: Var, b: usize, oh: usize, ow: usize, c: usize) -> Var {
-        let (head, slot) = self.out_slot();
-        let vv = live_val(head, v);
-        assert_eq!(vv.numel(), b * oh * ow * c, "rows_to_nchw size mismatch");
-        let hw = oh * ow;
-        let vd = vv.data();
-        let out = refit_slot(slot, &[b, c, oh, ow]);
-        qn_parallel::par_chunks_mut_min(
-            out.data_mut(),
-            (c * hw).max(1),
-            PAR_MIN_ELEMS,
-            |bi, oslab| {
-                for pos in 0..hw {
-                    let row = &vd[(bi * hw + pos) * c..(bi * hw + pos + 1) * c];
-                    for (ci, &x) in row.iter().enumerate() {
-                        oslab[ci * hw + pos] = x;
-                    }
-                }
-            },
-        );
-        self.commit()
+    fn rows_to_nchw(&mut self, x: Var, b: usize, oh: usize, ow: usize, c: usize) -> Var {
+        self.emit(|o, v| kernels::rows_to_nchw(o, v.get(x), b, oh, ow, c))
     }
 
     fn elemwise_chain(&mut self, x: Var, stages: &[ChainStage<'_>]) -> Var {
-        /// Stage resolved to raw per-channel / per-element slices.
-        enum Prep<'p> {
-            Bias(&'p [f32]),
-            Scale(&'p [f32]),
-            Norm {
-                mean: &'p [f32],
-                inv: &'p [f32],
-                gamma: &'p [f32],
-                beta: &'p [f32],
-            },
-            Relu,
-            Residual(&'p [f32]),
-        }
-        const MAX_STAGES: usize = 8;
         assert!(
             stages.len() <= MAX_STAGES,
             "elemwise_chain supports at most {MAX_STAGES} stages"
         );
         let pool = Arc::clone(&self.pool);
-        // per-Norm-stage 1/σ scratch, drawn from the pool (hoisted per
-        // channel exactly like the unfused batch-norm kernel)
+        // per-Norm-stage 1/σ scratch, drawn from the pool
         let mut inv_scratch: [Option<Vec<f32>>; MAX_STAGES] = Default::default();
         for (si, stage) in stages.iter().enumerate() {
             if let ChainStage::NormChannel { var, eps, .. } = stage {
                 let mut inv = pool.take_f32(var.numel());
-                for (o, &v) in inv.iter_mut().zip(var.data()) {
-                    *o = 1.0 / (v + eps).sqrt();
-                }
+                kernels::inv_std_into(&mut inv, var.data(), *eps);
                 inv_scratch[si] = Some(inv);
             }
         }
-        let (head, slot) = self.out_slot();
-        let xv = live_val(head, x);
-        let (_b, c, h, w) = xv.dims4();
-        let hw = h * w;
-        let mut prep: [Option<Prep>; MAX_STAGES] = Default::default();
-        for (si, stage) in stages.iter().enumerate() {
-            prep[si] = Some(match *stage {
-                ChainStage::AddChannel(bias) => {
-                    let bv = live_val(head, bias);
-                    assert_eq!(bv.ndim(), 1, "bias must be 1-D");
-                    assert_eq!(bv.numel(), c, "bias width {} != {c}", bv.numel());
-                    Prep::Bias(bv.data())
-                }
-                ChainStage::MulChannel(scale) => {
-                    let sv = live_val(head, scale);
-                    assert_eq!(sv.ndim(), 1, "scale must be 1-D");
-                    assert_eq!(sv.numel(), c, "scale width {} != {c}", sv.numel());
-                    Prep::Scale(sv.data())
-                }
-                ChainStage::NormChannel {
-                    gamma, beta, mean, ..
-                } => {
-                    let gv = live_val(head, gamma);
-                    let bv = live_val(head, beta);
-                    assert_eq!(gv.numel(), c, "gamma width {} != {c}", gv.numel());
-                    assert_eq!(bv.numel(), c, "beta width {} != {c}", bv.numel());
-                    assert_eq!(mean.numel(), c, "mean width {} != {c}", mean.numel());
-                    Prep::Norm {
+        let out = self.emit(|o, v| {
+            let xv = v.get(x);
+            let mut resolved = [Stage::Relu; MAX_STAGES];
+            for (si, stage) in stages.iter().enumerate() {
+                resolved[si] = match *stage {
+                    ChainStage::AddChannel(bias) => Stage::Bias(channel_vec(v.get(bias), "bias")),
+                    ChainStage::MulChannel(scale) => {
+                        Stage::Scale(channel_vec(v.get(scale), "scale"))
+                    }
+                    ChainStage::NormChannel {
+                        gamma, beta, mean, ..
+                    } => Stage::Norm {
                         mean: mean.data(),
                         inv: inv_scratch[si].as_deref().expect("computed above"),
-                        gamma: gv.data(),
-                        beta: bv.data(),
+                        gamma: v.get(gamma).data(),
+                        beta: v.get(beta).data(),
+                    },
+                    ChainStage::Relu => Stage::Relu,
+                    ChainStage::AddResidual(r) => {
+                        let rv = v.get(r);
+                        assert_eq!(
+                            rv.shape(),
+                            xv.shape(),
+                            "zip shape mismatch: {} vs {}",
+                            rv.shape(),
+                            xv.shape()
+                        );
+                        Stage::Residual(rv.data())
                     }
-                }
-                ChainStage::Relu => Prep::Relu,
-                ChainStage::AddResidual(r) => {
-                    let rv = live_val(head, r);
-                    assert_eq!(
-                        rv.shape(),
-                        xv.shape(),
-                        "zip shape mismatch: {} vs {}",
-                        rv.shape(),
-                        xv.shape()
-                    );
-                    Prep::Residual(rv.data())
-                }
-            });
-        }
-        let nst = stages.len();
-        let xd = xv.data();
-        let out = refit_slot(slot, xv.shape().dims());
-        // Vector body for the `Fast` profile. Every stage is a plain
-        // lane-wise add/sub/mul/max — no fusing, no reassociation — so each
-        // lane computes the exact scalar expression and the vector path is
-        // bit-identical to the scalar loop below (the only Fast/Exact
-        // divergence in this op is none; Fast merely vectorizes).
-        #[inline(always)]
-        unsafe fn run_plane<S: qn_simd::arch::SimdF32>(
-            oplane: &mut [f32],
-            xd: &[f32],
-            prep: &[Option<Prep<'_>>],
-            ci: usize,
-            base: usize,
-        ) {
-            let n = oplane.len();
-            let mut j = 0;
-            while j + S::LANES <= n {
-                let mut v = S::load(&xd[base + j..]);
-                for stage in prep.iter() {
-                    match stage.as_ref().expect("prepared above") {
-                        Prep::Bias(bs) => v = v.add(S::splat(bs[ci])),
-                        Prep::Scale(ss) => v = v.mul(S::splat(ss[ci])),
-                        Prep::Norm {
-                            mean,
-                            inv,
-                            gamma,
-                            beta,
-                        } => {
-                            v = v
-                                .sub(S::splat(mean[ci]))
-                                .mul(S::splat(inv[ci]))
-                                .mul(S::splat(gamma[ci]))
-                                .add(S::splat(beta[ci]))
-                        }
-                        Prep::Relu => v = v.max(S::zero()),
-                        Prep::Residual(r) => v = v.add(S::load(&r[base + j..])),
-                    }
-                }
-                v.store(&mut oplane[j..]);
-                j += S::LANES;
+                };
             }
-            // tail: the same expression one lane at a time
-            for (jj, o) in oplane.iter_mut().enumerate().skip(j) {
-                let mut v = xd[base + jj];
-                for stage in prep.iter() {
-                    match stage.as_ref().expect("prepared above") {
-                        Prep::Bias(bs) => v += bs[ci],
-                        Prep::Scale(ss) => v *= ss[ci],
-                        Prep::Norm {
-                            mean,
-                            inv,
-                            gamma,
-                            beta,
-                        } => v = (v - mean[ci]) * inv[ci] * gamma[ci] + beta[ci],
-                        Prep::Relu => v = v.max(0.0),
-                        Prep::Residual(r) => v += r[base + jj],
-                    }
-                }
-                *o = v;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2", enable = "fma")]
-        unsafe fn run_plane_avx2(
-            oplane: &mut [f32],
-            xd: &[f32],
-            prep: &[Option<Prep<'_>>],
-            ci: usize,
-            base: usize,
-        ) {
-            run_plane::<qn_simd::arch::Avx2F32>(oplane, xd, prep, ci, base)
-        }
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "sse2")]
-        unsafe fn run_plane_sse2(
-            oplane: &mut [f32],
-            xd: &[f32],
-            prep: &[Option<Prep<'_>>],
-            ci: usize,
-            base: usize,
-        ) {
-            run_plane::<qn_simd::arch::Sse2F32>(oplane, xd, prep, ci, base)
-        }
-        let fast = match qn_simd::KernelProfile::active() {
-            qn_simd::KernelProfile::Fast => Some(qn_simd::SimdLevel::active()),
-            qn_simd::KernelProfile::Exact => None,
-        };
-        // one pass: per element, the stages apply in order with the exact
-        // scalar expression of their unfused counterparts, so the fusion is
-        // bit-identical to the decomposed pipeline. Parallel over disjoint
-        // (batch, channel) planes like the unfused channel kernels.
-        qn_parallel::par_chunks_mut_min(
-            out.data_mut(),
-            hw.max(1),
-            PAR_MIN_ELEMS,
-            |plane, oplane| {
-                let ci = plane % c;
-                let base = plane * hw;
-                match fast {
-                    // SAFETY: the dispatched level never exceeds the CPU's
-                    // detected features (`SimdLevel::active` clamps), and
-                    // every lane read stays inside `xd`/`r` because each
-                    // `oplane` chunk maps to the same-length `[base..)`
-                    // window of the equally-sized inputs.
-                    #[cfg(target_arch = "x86_64")]
-                    Some(qn_simd::SimdLevel::Avx2) => unsafe {
-                        run_plane_avx2(oplane, xd, &prep[..nst], ci, base)
-                    },
-                    #[cfg(target_arch = "x86_64")]
-                    Some(qn_simd::SimdLevel::Sse2) => unsafe {
-                        run_plane_sse2(oplane, xd, &prep[..nst], ci, base)
-                    },
-                    // SAFETY: `ScalarF32` has no ISA requirement.
-                    Some(_) => unsafe {
-                        run_plane::<qn_simd::arch::ScalarF32>(oplane, xd, &prep[..nst], ci, base)
-                    },
-                    None => {
-                        for (j, o) in oplane.iter_mut().enumerate() {
-                            let mut v = xd[base + j];
-                            for stage in prep[..nst].iter() {
-                                match stage.as_ref().expect("prepared above") {
-                                    Prep::Bias(bs) => v += bs[ci],
-                                    Prep::Scale(ss) => v *= ss[ci],
-                                    Prep::Norm {
-                                        mean,
-                                        inv,
-                                        gamma,
-                                        beta,
-                                    } => v = (v - mean[ci]) * inv[ci] * gamma[ci] + beta[ci],
-                                    Prep::Relu => v = v.max(0.0),
-                                    Prep::Residual(r) => v += r[base + j],
-                                }
-                            }
-                            *o = v;
-                        }
-                    }
-                }
-            },
-        );
-        let var = self.commit();
+            kernels::chain(o, xv, &resolved[..stages.len()]);
+        });
         for inv in inv_scratch.into_iter().flatten() {
             pool.give_f32(inv);
         }
-        var
+        out
+    }
+
+    fn detached(
+        &mut self,
+        x: Var,
+        dims: &[usize],
+        kernel: &mut dyn FnMut(&Tensor, &mut [f32]),
+    ) -> Var {
+        self.emit(|o, v| {
+            o.refit(dims);
+            kernel(v.get(x), o.data_mut());
+        })
     }
 }
 

@@ -43,6 +43,7 @@ mod convops;
 mod exec;
 mod gradcheck;
 mod graph;
+mod kernels;
 mod matops;
 mod nnops;
 mod ops;

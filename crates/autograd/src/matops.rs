@@ -6,8 +6,11 @@
 //! (or hand-rolling) transposed kernels. That gives all of them the core's
 //! guarantees for free — bit-identical results at any thread count and the
 //! finiteness-guarded zero-coefficient skip (`0 × NaN` propagates).
+//!
+//! [`gemm`]: qn_tensor::gemm
 
 use crate::graph::{Graph, Var};
+use crate::kernels::{self, eval};
 use qn_tensor::{gemm_batched, MatRef, Tensor};
 
 impl Graph {
@@ -19,7 +22,7 @@ impl Graph {
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let av = self.value(a).clone();
         let bv = self.value(b).clone();
-        let value = av.matmul(&bv);
+        let value = eval(|o| kernels::matmul(o, &av, &bv));
         self.push_ephemeral(
             value,
             vec![a.id, b.id],
@@ -39,7 +42,7 @@ impl Graph {
     pub fn matmul_transb(&mut self, a: Var, b: Var) -> Var {
         let av = self.value(a).clone();
         let bv = self.value(b).clone();
-        let value = av.matmul_transb(&bv);
+        let value = eval(|o| kernels::matmul_transb(o, &av, &bv));
         self.push_ephemeral(
             value,
             vec![a.id, b.id],
@@ -59,7 +62,7 @@ impl Graph {
     pub fn bmm(&mut self, a: Var, b: Var) -> Var {
         let av = self.value(a).clone();
         let bv = self.value(b).clone();
-        let value = bmm_forward(&av, &bv);
+        let value = eval(|o| kernels::bmm(o, &av, &bv));
         self.push_ephemeral(
             value,
             vec![a.id, b.id],
@@ -68,46 +71,6 @@ impl Graph {
             })),
         )
     }
-}
-
-/// Validated `(N, M, K, P)` dims of a `[N, M, K] × [N, K, P]` batched
-/// product — shared by the taped and eager paths.
-pub(crate) fn bmm_dims(a: &Tensor, b: &Tensor) -> (usize, usize, usize, usize) {
-    assert_eq!(a.ndim(), 3, "bmm lhs must be 3-D");
-    assert_eq!(b.ndim(), 3, "bmm rhs must be 3-D");
-    let (n, m, k) = (a.shape().dim(0), a.shape().dim(1), a.shape().dim(2));
-    let (n2, k2, p) = (b.shape().dim(0), b.shape().dim(1), b.shape().dim(2));
-    assert_eq!(n, n2, "bmm batch dims differ: {n} vs {n2}");
-    assert_eq!(k, k2, "bmm inner dims differ: {k} vs {k2}");
-    (n, m, k, p)
-}
-
-/// `[N, M, K] × [N, K, P] -> [N, M, P]` through the shared GEMM core: one
-/// zero-copy `MatRef` subslice pair per batch element. Bit-identical at any
-/// thread count; the finiteness-guarded zero-coefficient skip (dropped
-/// outright in PR 3) is back via the core's packing step.
-pub(crate) fn bmm_forward(a: &Tensor, b: &Tensor) -> Tensor {
-    let (n, m, _k, p) = bmm_dims(a, b);
-    let mut out = vec![0.0f32; n * m * p];
-    bmm_forward_into(&mut out, a, b);
-    Tensor::from_vec(out, &[n, m, p]).expect("bmm shape consistent")
-}
-
-/// [`bmm_forward`] into a caller-provided (slot-recycled) buffer of
-/// `N·M·P` elements; fully overwritten, bit-identical to the allocating
-/// version.
-pub(crate) fn bmm_forward_into(dst: &mut [f32], a: &Tensor, b: &Tensor) {
-    let (n, m, k, p) = bmm_dims(a, b);
-    let (ad, bd) = (a.data(), b.data());
-    gemm_batched(
-        dst,
-        n,
-        m,
-        p,
-        k,
-        |ni| MatRef::new(&ad[ni * m * k..(ni + 1) * m * k], m, k),
-        |ni| MatRef::new(&bd[ni * k * p..(ni + 1) * k * p], k, p),
-    );
 }
 
 /// `g [N, M, P] × bᵀ [N, P, K]` per batch: returns `[N, M, K]`. The
@@ -245,7 +208,7 @@ mod tests {
         let mut rng = Rng::seed_from(5);
         let a = Tensor::randn(&[3, 2, 4], &mut rng);
         let b = Tensor::randn(&[3, 4, 5], &mut rng);
-        let out = bmm_forward(&a, &b);
+        let out = eval(|o| kernels::bmm(o, &a, &b));
         for ni in 0..3 {
             let ai = a.slice_axis(0, ni, ni + 1).reshape(&[2, 4]).unwrap();
             let bi = b.slice_axis(0, ni, ni + 1).reshape(&[4, 5]).unwrap();

@@ -2,9 +2,9 @@
 //! embedding and dropout.
 
 use crate::graph::{Graph, Var};
-use crate::PAR_MIN_ELEMS;
+use crate::kernels::{self, eval, Stage};
 use qn_simd::KernelProfile;
-use qn_tensor::Tensor;
+use qn_tensor::{elemwise, Tensor};
 
 /// Accumulates one row's label-smoothed cross-entropy into `loss`:
 /// `loss -= w · y_j · ln(max(p_j, 1e-12))` with `y_j = on` at the target and
@@ -42,7 +42,7 @@ fn ce_row_grad(row: &mut [f32], t: usize, on: f32, off: f32, scale: f32, w: f32)
 impl Graph {
     /// Numerically-stable softmax over the **last** axis.
     pub fn softmax_last(&mut self, x: Var) -> Var {
-        let value = softmax_last(self.value(x));
+        let value = eval(|o| kernels::softmax_last(o, self.value(x)));
         let out = value.clone();
         let last = self.value(x).shape().dims().last().copied().unwrap_or(1);
         self.push_ephemeral(
@@ -99,7 +99,7 @@ impl Graph {
         for &t in targets {
             assert!(t < c, "target {t} out of range for {c} classes");
         }
-        let probs = softmax_last(&lv);
+        let probs = eval(|o| kernels::softmax_last(o, &lv));
         let eps = label_smoothing;
         let off = eps / c as f32;
         let on = 1.0 - eps + off;
@@ -178,7 +178,7 @@ impl Graph {
         for &t in targets {
             assert!(t < c, "target {t} out of range for {c} classes");
         }
-        let probs = softmax_last(&lv);
+        let probs = eval(|o| kernels::softmax_last(o, &lv));
         let eps = label_smoothing;
         let off = eps / c as f32;
         let on = 1.0 - eps + off;
@@ -220,15 +220,8 @@ impl Graph {
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         let xv = self.value(x).clone();
         let gv = self.value(gamma).clone();
-        let bv = self.value(beta).clone();
-        let d = *xv.shape().dims().last().expect("non-empty shape");
-        assert_eq!(gv.numel(), d, "gamma width {} != {d}", gv.numel());
-        assert_eq!(bv.numel(), d, "beta width {} != {d}", bv.numel());
-        let rows = xv.numel() / d;
-        let mut xhat = vec![0.0f32; xv.numel()];
-        let mut inv_std = vec![0.0f32; rows];
-        let out = layer_norm_forward(&xv, &gv, &bv, eps, Some((&mut xhat, &mut inv_std)));
-        let xshape = xv.shape().dims().to_vec();
+        let out = eval(|o| kernels::layer_norm(o, &xv, &gv, self.value(beta), eps));
+        let d = gv.numel();
         self.push_ephemeral(
             out,
             vec![x.id, gamma.id, beta.id],
@@ -237,11 +230,17 @@ impl Graph {
                 let mut dgamma = vec![0.0f32; d];
                 let mut dbeta = vec![0.0f32; d];
                 let mut dx = vec![0.0f32; gd.len()];
-                for (r, &istd) in inv_std.iter().enumerate() {
+                let mut xhat = vec![0.0f32; d];
+                for (r, row) in xv.data().chunks(d).enumerate() {
                     let base = r * d;
+                    // x̂ from the forward kernel's exact-profile statistics
+                    let (mean, istd) = kernels::layer_norm_stats(row, eps);
+                    for (xh, &v) in xhat.iter_mut().zip(row) {
+                        *xh = (v - mean) * istd;
+                    }
                     // accumulate affine grads
                     for j in 0..d {
-                        dgamma[j] += gd[base + j] * xhat[base + j];
+                        dgamma[j] += gd[base + j] * xhat[j];
                         dbeta[j] += gd[base + j];
                     }
                     let mut sum_dxhat = 0.0f32;
@@ -249,18 +248,16 @@ impl Graph {
                     for j in 0..d {
                         let dxh = gd[base + j] * gv.data()[j];
                         sum_dxhat += dxh;
-                        sum_dxhat_xhat += dxh * xhat[base + j];
+                        sum_dxhat_xhat += dxh * xhat[j];
                     }
                     for j in 0..d {
                         let dxh = gd[base + j] * gv.data()[j];
                         dx[base + j] = istd
-                            * (dxh
-                                - sum_dxhat / d as f32
-                                - xhat[base + j] * sum_dxhat_xhat / d as f32);
+                            * (dxh - sum_dxhat / d as f32 - xhat[j] * sum_dxhat_xhat / d as f32);
                     }
                 }
                 vec![
-                    Tensor::from_vec(dx, &xshape).expect("shape consistent"),
+                    Tensor::from_vec(dx, xv.shape().dims()).expect("shape consistent"),
                     Tensor::from_vec(dgamma, &[d]).expect("width consistent"),
                     Tensor::from_vec(dbeta, &[d]).expect("width consistent"),
                 ]
@@ -287,10 +284,7 @@ impl Graph {
     ) -> (Var, Option<(Tensor, Tensor)>) {
         let xv = self.value(x).clone();
         let gv = self.value(gamma).clone();
-        let bv = self.value(beta).clone();
         let (b, c, h, w) = xv.dims4();
-        assert_eq!(gv.numel(), c, "gamma width {} != {c}", gv.numel());
-        assert_eq!(bv.numel(), c, "beta width {} != {c}", bv.numel());
         let m = (b * h * w) as f32;
         let training = self.is_training();
         let (mean, var) = if training {
@@ -340,10 +334,16 @@ impl Graph {
         } else {
             (running_mean.data().to_vec(), running_var.data().to_vec())
         };
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
+        let mut inv_std = vec![0.0f32; c];
+        kernels::inv_std_into(&mut inv_std, &var, eps);
         let hw = h * w;
-        let mut xhat = vec![0.0f32; xv.numel()];
-        let out = batch_norm_apply(&xv, &gv, &bv, &mean, &inv_std, Some(&mut xhat));
+        let norm = Stage::Norm {
+            mean: &mean,
+            inv: &inv_std,
+            gamma: gv.data(),
+            beta: self.value(beta).data(),
+        };
+        let out = eval(|o| kernels::chain(o, &xv, &[norm]));
         let stats = if training {
             Some((
                 Tensor::from_vec(mean.clone(), &[c]).expect("width consistent"),
@@ -357,6 +357,15 @@ impl Graph {
             vec![x.id, gamma.id, beta.id],
             Some(Box::new(move |g: Tensor| {
                 let gd = g.data();
+                // x̂ exactly as the forward kernel's norm stage forms it
+                let mut xhat = vec![0.0f32; gd.len()];
+                let planes = xhat.chunks_mut(hw.max(1)).zip(xv.data().chunks(hw.max(1)));
+                for (plane, (dst, src)) in planes.enumerate() {
+                    let ci = plane % c;
+                    for (o, &v) in dst.iter_mut().zip(src) {
+                        *o = (v - mean[ci]) * inv_std[ci];
+                    }
+                }
                 let mut dgamma = vec![0.0f32; c];
                 let mut dbeta = vec![0.0f32; c];
                 for bi in 0..b {
@@ -412,12 +421,8 @@ impl Graph {
     ///
     /// Panics if any id is out of range.
     pub fn embedding(&mut self, weight: Var, ids: &[usize]) -> Var {
-        let wv = self.value(weight).clone();
-        let (v, d) = wv.dims2();
-        for &id in ids {
-            assert!(id < v, "token id {id} out of range for vocab {v}");
-        }
-        let value = wv.select_rows(ids);
+        let (v, d) = self.value(weight).dims2();
+        let value = eval(|o| kernels::embedding(o, self.value(weight), ids));
         let ids = ids.to_vec();
         self.push_ephemeral(
             value,
@@ -462,224 +467,26 @@ impl Graph {
             })
             .collect();
         let mask = Tensor::from_vec(mask, self.value(x).shape().dims()).expect("mask shape");
-        let mv = mask.clone();
-        let value = self.value(x).mul(&mask);
+        let value = eval(|o| kernels::binary(o, self.value(x), &mask, elemwise::mul_to));
         self.push_ephemeral(
             value,
             vec![x.id],
             Some(Box::new(move |mut g: Tensor| {
-                g.zip_inplace(&mv, |gi, m| gi * m);
+                g.zip_inplace(&mask, |gi, m| gi * m);
                 vec![g]
             })),
         )
     }
 }
 
-/// Forward layer normalization shared by the taped and eager execution
-/// paths; when `capture` is provided, also records `x̂` and the per-row
-/// `1/σ` for the backward pass.
-///
-/// # Panics
-///
-/// Panics if the trailing dim of `x` differs from `gamma`/`beta`.
-pub(crate) fn layer_norm_forward(
-    xv: &Tensor,
-    gv: &Tensor,
-    bv: &Tensor,
-    eps: f32,
-    mut capture: Option<(&mut [f32], &mut [f32])>,
-) -> Tensor {
-    let d = *xv.shape().dims().last().expect("non-empty shape");
-    assert_eq!(gv.numel(), d, "gamma width {} != {d}", gv.numel());
-    assert_eq!(bv.numel(), d, "beta width {} != {d}", bv.numel());
-    let rows = xv.numel() / d;
-    let mut out = xv.clone();
-    if capture.is_none() {
-        layer_norm_infer_into(out.data_mut(), xv, gv, bv, eps);
-        return out;
-    }
-    let od = out.data_mut();
-    for r in 0..rows {
-        let base = r * d;
-        let row = &xv.data()[base..base + d];
-        let mean = row.iter().sum::<f32>() / d as f32;
-        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let istd = 1.0 / (var + eps).sqrt();
-        for j in 0..d {
-            let xh = (row[j] - mean) * istd;
-            if let Some((xhat, _)) = capture.as_mut() {
-                xhat[base + j] = xh;
-            }
-            od[base + j] = xh * gv.data()[j] + bv.data()[j];
-        }
-        if let Some((_, inv_std)) = capture.as_mut() {
-            inv_std[r] = istd;
-        }
-    }
-    out
-}
-
-/// Per-channel batch-norm application `x̂ γ + β` with the given mean and
-/// `1/σ`, shared by the taped and eager execution paths; records `x̂` when
-/// `xhat` is provided (the backward pass needs it).
-///
-/// # Panics
-///
-/// Panics if `x` is not 4-D.
-pub(crate) fn batch_norm_apply(
-    xv: &Tensor,
-    gv: &Tensor,
-    bv: &Tensor,
-    mean: &[f32],
-    inv_std: &[f32],
-    mut xhat: Option<&mut [f32]>,
-) -> Tensor {
-    let (b, c, h, w) = xv.dims4();
-    let hw = h * w;
-    let mut out = xv.clone();
-    if xhat.is_none() {
-        // Inference path: per-channel affine over disjoint planes, safe to
-        // parallelize over batch × channel.
-        batch_norm_infer_into(out.data_mut(), xv, gv, bv, mean, inv_std);
-        return out;
-    }
-    let od = out.data_mut();
-    for bi in 0..b {
-        for ci in 0..c {
-            let base = (bi * c + ci) * hw;
-            for j in 0..hw {
-                let xh = (xv.data()[base + j] - mean[ci]) * inv_std[ci];
-                if let Some(x) = xhat.as_deref_mut() {
-                    x[base + j] = xh;
-                }
-                od[base + j] = xh * gv.data()[ci] + bv.data()[ci];
-            }
-        }
-    }
-    out
-}
-
-/// Inference layer norm into a caller-provided (slot-recycled) buffer —
-/// the parallel per-row kernel shared by [`layer_norm_forward`] and the
-/// eager path. Fully overwrites `dst`; bit-identical to the allocating
-/// version and to the sequential training sweep.
-pub(crate) fn layer_norm_infer_into(
-    dst: &mut [f32],
-    xv: &Tensor,
-    gv: &Tensor,
-    bv: &Tensor,
-    eps: f32,
-) {
-    let d = *xv.shape().dims().last().expect("non-empty shape");
-    assert_eq!(gv.numel(), d, "gamma width {} != {d}", gv.numel());
-    assert_eq!(bv.numel(), d, "beta width {} != {d}", bv.numel());
-    assert_eq!(
-        dst.len(),
-        xv.numel(),
-        "layer_norm_infer_into length mismatch"
-    );
-    // Inference path: rows are independent, so normalize them in
-    // parallel (bit-identical to the sequential training sweep). Under the
-    // `Fast` profile the row kernel vectorizes the mean/variance reductions
-    // (reassociated, tolerance-bounded — see `qn_simd::layer_norm_row`).
-    let fast = KernelProfile::active() == KernelProfile::Fast;
-    qn_parallel::par_chunks_mut_min(dst, d.max(1), PAR_MIN_ELEMS, |r, orow| {
-        let base = r * d;
-        let row = &xv.data()[base..base + d];
-        if fast {
-            qn_simd::layer_norm_row(orow, row, gv.data(), bv.data(), eps);
-            return;
-        }
-        let mean = row.iter().sum::<f32>() / d as f32;
-        let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let istd = 1.0 / (var + eps).sqrt();
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o = (row[j] - mean) * istd * gv.data()[j] + bv.data()[j];
-        }
-    });
-}
-
-/// Inference batch norm into a caller-provided buffer: per-channel affine
-/// `(x - mean[c]) · inv_std[c] · γ[c] + β[c]` parallel over disjoint
-/// (batch, channel) planes. Fully overwrites `dst`; bit-identical to
-/// [`batch_norm_apply`] without capture.
-pub(crate) fn batch_norm_infer_into(
-    dst: &mut [f32],
-    xv: &Tensor,
-    gv: &Tensor,
-    bv: &Tensor,
-    mean: &[f32],
-    inv_std: &[f32],
-) {
-    let (_b, c, h, w) = xv.dims4();
-    let hw = h * w;
-    assert_eq!(
-        dst.len(),
-        xv.numel(),
-        "batch_norm_infer_into length mismatch"
-    );
-    // The vector per-plane affine applies the same `(x − μ)·σ⁻¹·γ + β`
-    // operation order lane-wise, so the `Fast` path is bit-identical here.
-    let fast = KernelProfile::active() == KernelProfile::Fast;
-    qn_parallel::par_chunks_mut_min(dst, hw.max(1), PAR_MIN_ELEMS, |plane, out_plane| {
-        let ci = plane % c;
-        let base = plane * hw;
-        if fast {
-            qn_simd::affine_channel_to(
-                out_plane,
-                &xv.data()[base..base + hw],
-                mean[ci],
-                inv_std[ci],
-                gv.data()[ci],
-                bv.data()[ci],
-            );
-            return;
-        }
-        for (j, o) in out_plane.iter_mut().enumerate() {
-            *o = (xv.data()[base + j] - mean[ci]) * inv_std[ci] * gv.data()[ci] + bv.data()[ci];
-        }
-    });
-}
-
-/// Normalizes each `last`-wide row of `data` in place with the stable
-/// softmax — the kernel under [`softmax_last`] and the eager path's
-/// copy-then-normalize (bit-identical either way).
-pub(crate) fn softmax_rows_inplace(data: &mut [f32], last: usize) {
-    // Under the `Fast` profile each row runs the vector kernel: same stable
-    // max-shift algorithm with a polynomial `exp` and reassociated sum
-    // (≤ 32 ULP per probability — see `qn_simd::softmax_row_inplace`).
-    let fast = KernelProfile::active() == KernelProfile::Fast;
-    qn_parallel::par_chunks_mut_min(data, last.max(1), PAR_MIN_ELEMS, |_, row| {
-        if fast {
-            qn_simd::softmax_row_inplace(row);
-            return;
-        }
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - m).exp();
-            sum += *v;
-        }
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    });
-}
-
-/// Stable softmax over the last axis (free function shared with the loss).
-/// Rows normalize independently, so the sweep runs on the `qn-parallel`
-/// pool for large inputs with bit-identical results at any thread count.
-pub(crate) fn softmax_last(x: &Tensor) -> Tensor {
-    let last = *x.shape().dims().last().expect("non-empty shape");
-    let mut out = x.clone();
-    softmax_rows_inplace(out.data_mut(), last);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck;
+
+    fn softmax_last(x: &Tensor) -> Tensor {
+        eval(|o| kernels::softmax_last(o, x))
+    }
     use qn_tensor::Rng;
 
     #[test]

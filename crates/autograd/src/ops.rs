@@ -1,12 +1,15 @@
-//! Elementwise, broadcast and shape-manipulation ops.
+//! Elementwise, broadcast, shape-manipulation and reduction ops, plus the
+//! efficient quadratic neuron's fused composites.
 
 use crate::graph::{Graph, Var};
-use qn_tensor::Tensor;
+use crate::kernels::{self, channel_vec, eval, Stage};
+use crate::PAR_MIN_ELEMS;
+use qn_tensor::{elemwise, Tensor};
 
 impl Graph {
     /// Elementwise sum of two same-shape nodes.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).add(self.value(b));
+        let value = eval(|o| kernels::binary(o, self.value(a), self.value(b), elemwise::add_to));
         self.push_ephemeral(
             value,
             vec![a.id, b.id],
@@ -16,7 +19,7 @@ impl Graph {
 
     /// Elementwise difference `a - b`.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).sub(self.value(b));
+        let value = eval(|o| kernels::binary(o, self.value(a), self.value(b), elemwise::sub_to));
         self.push_ephemeral(
             value,
             vec![a.id, b.id],
@@ -31,7 +34,7 @@ impl Graph {
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let av = self.value(a).clone();
         let bv = self.value(b).clone();
-        let value = av.mul(&bv);
+        let value = eval(|o| kernels::binary(o, &av, &bv, elemwise::mul_to));
         self.push_ephemeral(
             value,
             vec![a.id, b.id],
@@ -46,7 +49,7 @@ impl Graph {
 
     /// Multiplies every element by a constant.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let value = self.value(a).scale(s);
+        let value = eval(|o| kernels::unary(o, self.value(a), |d, x| elemwise::scale_to(d, x, s)));
         self.push_ephemeral(
             value,
             vec![a.id],
@@ -59,7 +62,8 @@ impl Graph {
 
     /// Adds a constant to every element.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        let value = self.value(a).add_scalar(s);
+        let value =
+            eval(|o| kernels::unary(o, self.value(a), |d, x| elemwise::add_scalar_to(d, x, s)));
         self.push_ephemeral(value, vec![a.id], Some(Box::new(|g: Tensor| vec![g])))
     }
 
@@ -71,7 +75,7 @@ impl Graph {
     /// Elementwise square `x²` (the `(·)⊙²` operation of Fan et al.).
     pub fn square(&mut self, a: Var) -> Var {
         let av = self.value(a).clone();
-        let value = av.map(|v| v * v);
+        let value = eval(|o| kernels::unary(o, &av, elemwise::square_to));
         self.push_ephemeral(
             value,
             vec![a.id],
@@ -91,7 +95,7 @@ impl Graph {
     pub fn powi(&mut self, a: Var, p: i32) -> Var {
         assert!(p >= 1, "powi requires p >= 1, got {p}");
         let av = self.value(a).clone();
-        let value = av.map(|v| v.powi(p));
+        let value = eval(|o| kernels::unary(o, &av, |d, x| elemwise::map_to(d, x, |v| v.powi(p))));
         self.push_ephemeral(
             value,
             vec![a.id],
@@ -105,7 +109,7 @@ impl Graph {
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
         let av = self.value(a).clone();
-        let value = av.map(|v| v.max(0.0));
+        let value = eval(|o| kernels::unary(o, &av, elemwise::relu_to));
         self.push_ephemeral(
             value,
             vec![a.id],
@@ -120,7 +124,8 @@ impl Graph {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|v| v.tanh());
+        let value =
+            eval(|o| kernels::unary(o, self.value(a), |d, x| elemwise::map_to(d, x, f32::tanh)));
         let out = value.clone();
         self.push_ephemeral(
             value,
@@ -134,7 +139,7 @@ impl Graph {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|v| 1.0 / (1.0 + (-v).exp()));
+        let value = eval(|o| kernels::unary(o, self.value(a), elemwise::sigmoid_to));
         let out = value.clone();
         self.push_ephemeral(
             value,
@@ -156,7 +161,7 @@ impl Graph {
     ///
     /// Panics if `b`'s shape is not a trailing suffix of `a`'s.
     pub fn add_bcast(&mut self, a: Var, b: Var) -> Var {
-        let value = add_bcast_forward(self.value(a), self.value(b));
+        let value = eval(|o| kernels::bcast(o, self.value(a), self.value(b), |x, y| x + y));
         let bshape = self.value(b).shape().dims().to_vec();
         self.push_ephemeral(
             value,
@@ -184,13 +189,12 @@ impl Graph {
     pub fn mul_bcast(&mut self, a: Var, b: Var) -> Var {
         let av = self.value(a).clone();
         let bv = self.value(b).clone();
-        let out = mul_bcast_forward(&av, &bv);
-        let bshape = bv.shape().dims().to_vec();
+        let out = eval(|o| kernels::bcast(o, &av, &bv, |x, y| x * y));
         self.push_ephemeral(
             out,
             vec![a.id, b.id],
             Some(Box::new(move |mut g: Tensor| {
-                let bl: usize = bshape.iter().product();
+                let bl = bv.numel();
                 // db reads the *original* gradient, so compute it first,
                 // then rescale g in place for da
                 let mut db = vec![0.0f32; bl];
@@ -204,7 +208,7 @@ impl Graph {
                         *o *= x;
                     }
                 }
-                let db = Tensor::from_vec(db, &bshape).expect("suffix shape consistent");
+                let db = Tensor::from_vec(db, bv.shape().dims()).expect("suffix shape consistent");
                 vec![g, db]
             })),
         )
@@ -216,7 +220,10 @@ impl Graph {
     ///
     /// Panics on rank or width mismatch.
     pub fn add_channel(&mut self, a: Var, bias: Var) -> Var {
-        let value = self.value(a).add_channel(self.value(bias));
+        let value = eval(|o| {
+            let stage = Stage::Bias(channel_vec(self.value(bias), "bias"));
+            kernels::chain(o, self.value(a), &[stage])
+        });
         let dims = self.value(a).dims4();
         self.push_ephemeral(
             value,
@@ -245,7 +252,7 @@ impl Graph {
     pub fn mul_channel(&mut self, a: Var, scale: Var) -> Var {
         let av = self.value(a).clone();
         let sv = self.value(scale).clone();
-        let value = av.mul_channel(&sv);
+        let value = eval(|o| kernels::chain(o, &av, &[Stage::Scale(channel_vec(&sv, "scale"))]));
         let dims = av.dims4();
         self.push_ephemeral(
             value,
@@ -283,17 +290,18 @@ impl Graph {
 
     // ----- shape ops -------------------------------------------------------
 
-    /// Reshapes to `dims` (element count must match).
+    /// Reshapes to `dims` (element count must match). Reshaping to the
+    /// unchanged shape records nothing and returns `a`.
     ///
     /// # Panics
     ///
     /// Panics if element counts differ.
     pub fn reshape(&mut self, a: Var, dims: &[usize]) -> Var {
         let old_dims = self.value(a).shape().dims().to_vec();
-        let value = self
-            .value(a)
-            .reshape(dims)
-            .unwrap_or_else(|e| panic!("reshape: {e}"));
+        if old_dims == dims {
+            return a;
+        }
+        let value = eval(|o| kernels::reshape(o, self.value(a), dims));
         self.push_ephemeral(
             value,
             vec![a.id],
@@ -311,7 +319,7 @@ impl Graph {
     ///
     /// Panics if `axes` is not a permutation.
     pub fn permute(&mut self, a: Var, axes: &[usize]) -> Var {
-        let value = self.value(a).permute(axes);
+        let value = eval(|o| kernels::permute(o, self.value(a), axes));
         let mut inverse = vec![0usize; axes.len()];
         for (i, &ax) in axes.iter().enumerate() {
             inverse[ax] = i;
@@ -329,11 +337,11 @@ impl Graph {
     ///
     /// Panics if `parts` is empty or shapes are incompatible.
     pub fn concat(&mut self, parts: &[Var], axis: usize) -> Var {
-        assert!(!parts.is_empty(), "concat of zero vars");
-        let tensors: Vec<Tensor> = parts.iter().map(|v| self.value(*v).clone()).collect();
-        let refs: Vec<&Tensor> = tensors.iter().collect();
-        let value = Tensor::concat(&refs, axis);
-        let sizes: Vec<usize> = tensors.iter().map(|t| t.shape().dim(axis)).collect();
+        let value = eval(|o| kernels::concat(o, parts.len(), |i| self.value(parts[i]), axis));
+        let sizes: Vec<usize> = parts
+            .iter()
+            .map(|v| self.value(*v).shape().dim(axis))
+            .collect();
         let ids: Vec<usize> = parts.iter().map(|v| v.id).collect();
         self.push_ephemeral(
             value,
@@ -357,7 +365,7 @@ impl Graph {
     /// Panics if the range is out of bounds.
     pub fn slice_axis(&mut self, a: Var, axis: usize, start: usize, end: usize) -> Var {
         let full = self.value(a).shape().dims().to_vec();
-        let value = self.value(a).slice_axis(axis, start, end);
+        let value = eval(|o| kernels::slice_axis(o, self.value(a), axis, start, end));
         self.push_ephemeral(
             value,
             vec![a.id],
@@ -386,7 +394,7 @@ impl Graph {
     /// Sum of all elements, as a `[1]` tensor.
     pub fn sum_all(&mut self, a: Var) -> Var {
         let dims = self.value(a).shape().dims().to_vec();
-        let value = Tensor::from_vec(vec![self.value(a).sum()], &[1]).expect("scalar");
+        let value = eval(|o| kernels::sum_all(o, self.value(a)));
         self.push_ephemeral(
             value,
             vec![a.id],
@@ -410,7 +418,7 @@ impl Graph {
     /// Panics if `axis` is out of range.
     pub fn sum_axis(&mut self, a: Var, axis: usize) -> Var {
         let dims = self.value(a).shape().dims().to_vec();
-        let value = self.value(a).sum_axis(axis);
+        let value = eval(|o| kernels::sum_axis(o, self.value(a), axis));
         self.push_ephemeral(
             value,
             vec![a.id],
@@ -438,48 +446,81 @@ impl Graph {
         let s = self.sum_axis(a, axis);
         self.scale(s, 1.0 / n)
     }
-}
 
-/// Forward computation of [`Graph::add_bcast`], shared with the eager
-/// execution path.
-pub(crate) fn add_bcast_forward(av: &Tensor, bv: &Tensor) -> Tensor {
-    bcast_lead(av, bv);
-    let mut out = av.clone();
-    let bl = bv.numel();
-    for chunk in out.data_mut().chunks_mut(bl) {
-        for (o, &x) in chunk.iter_mut().zip(bv.data()) {
-            *o += x;
-        }
+    // ----- quadratic-neuron composites -------------------------------------
+
+    /// The quadratic energy `y₂[r, j] = Σᵢ λ[j, i] · f[r, j·k + i]²` — see
+    /// [`Exec::weighted_square_sum`](crate::Exec::weighted_square_sum). One
+    /// node whose backward runs the `sum_axis → mul_bcast → square` chain
+    /// rule of the decomposition with the same expressions and summation
+    /// order, so gradients match it bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` is not `[rows, neurons·k]` or `lambda` does not hold
+    /// `neurons·k` values.
+    pub fn weighted_square_sum(&mut self, f: Var, lambda: Var, neurons: usize, k: usize) -> Var {
+        let fv = self.value(f).clone();
+        let lv = self.value(lambda).clone();
+        let value = eval(|o| kernels::weighted_square_sum(o, &fv, &lv, neurons, k));
+        let mk = neurons * k;
+        self.push_ephemeral(
+            value,
+            vec![f.id, lambda.id],
+            Some(Box::new(move |g: Tensor| {
+                let (gd, fd, ld) = (g.data(), fv.data(), lv.data());
+                // dλ = Σ_rows g ⊙ f² (rows ascending, as mul_bcast's fold)
+                let mut dlam = vec![0.0f32; mk];
+                for (grow, frow) in gd.chunks(neurons).zip(fd.chunks(mk)) {
+                    for (i, o) in dlam.iter_mut().enumerate() {
+                        let x = frow[i];
+                        *o += grow[i / k] * (x * x);
+                    }
+                }
+                // df = ((g · λ) · f) · 2, square's derivative of mul_bcast's
+                let mut df = vec![0.0f32; fd.len()];
+                qn_parallel::par_chunks_mut_min(&mut df, mk.max(1), PAR_MIN_ELEMS, |r, drow| {
+                    for (i, o) in drow.iter_mut().enumerate() {
+                        *o = gd[r * neurons + i / k] * ld[i] * fd[r * mk + i] * 2.0;
+                    }
+                });
+                vec![
+                    Tensor::from_vec(df, fv.shape().dims()).expect("shape consistent"),
+                    Tensor::from_vec(dlam, lv.shape().dims()).expect("shape consistent"),
+                ]
+            })),
+        )
     }
-    out
-}
 
-/// Forward computation of [`Graph::mul_bcast`], shared with the eager
-/// execution path.
-pub(crate) fn mul_bcast_forward(av: &Tensor, bv: &Tensor) -> Tensor {
-    bcast_lead(av, bv);
-    let mut out = av.clone();
-    let bl = bv.numel();
-    for chunk in out.data_mut().chunks_mut(bl) {
-        for (o, &x) in chunk.iter_mut().zip(bv.data()) {
-            *o *= x;
-        }
+    /// Interleaves `y` (`[rows, m]`) with feature groups `f` (`[rows, m·k]`)
+    /// into `[rows, m·(k+1)]` — see
+    /// [`Exec::interleave_last`](crate::Exec::interleave_last). One node;
+    /// the backward pass de-interleaves the gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is not 2-D or `f` does not hold `rows·m·k` values.
+    pub fn interleave_last(&mut self, y: Var, f: Var, k: usize) -> Var {
+        let value = eval(|o| kernels::interleave_last(o, self.value(y), self.value(f), k));
+        let (rows, m) = self.value(y).dims2();
+        let fdims = self.value(f).shape().dims().to_vec();
+        self.push_ephemeral(
+            value,
+            vec![y.id, f.id],
+            Some(Box::new(move |g: Tensor| {
+                let mut dy = vec![0.0f32; rows * m];
+                let mut df = vec![0.0f32; rows * m * k];
+                for (n, group) in g.data().chunks(k + 1).enumerate() {
+                    dy[n] = group[0];
+                    df[n * k..(n + 1) * k].copy_from_slice(&group[1..]);
+                }
+                vec![
+                    Tensor::from_vec(dy, &[rows, m]).expect("shape consistent"),
+                    Tensor::from_vec(df, &fdims).expect("shape consistent"),
+                ]
+            })),
+        )
     }
-    out
-}
-
-/// Validates the suffix-broadcast contract and returns the number of leading
-/// broadcast elements. Shared with the eager execution path.
-pub(crate) fn bcast_lead(a: &Tensor, b: &Tensor) -> usize {
-    let ad = a.shape().dims();
-    let bd = b.shape().dims();
-    assert!(
-        bd.len() <= ad.len() && ad[ad.len() - bd.len()..] == *bd,
-        "broadcast shape {:?} is not a trailing suffix of {:?}",
-        bd,
-        ad
-    );
-    ad[..ad.len() - bd.len()].iter().product()
 }
 
 #[cfg(test)]
@@ -645,6 +686,20 @@ mod tests {
             1e-2,
             2e-2
         ));
+    }
+
+    #[test]
+    fn channel_broadcasts() {
+        let mut g = Graph::new();
+        let a = g.leaf(Tensor::ones(&[1, 2, 2, 2]));
+        let bias = g.leaf(t(&[1.0, -1.0], &[2]));
+        let ab = g.add_channel(a, bias);
+        assert_eq!(g.value(ab).get(&[0, 0, 1, 1]), 2.0);
+        assert_eq!(g.value(ab).get(&[0, 1, 0, 0]), 0.0);
+        let scale = g.leaf(t(&[2.0, 3.0], &[2]));
+        let ms = g.mul_channel(a, scale);
+        assert_eq!(g.value(ms).get(&[0, 0, 0, 0]), 2.0);
+        assert_eq!(g.value(ms).get(&[0, 1, 1, 0]), 3.0);
     }
 
     #[test]

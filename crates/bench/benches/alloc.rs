@@ -1,11 +1,13 @@
 //! Allocation accounting for the serving path, measured with a counting
 //! global allocator: proves that steady-state `InferenceSession::predict`
 //! on the paper's quadratic ResNet performs **zero** heap allocations once
-//! the session's buffer pool is warm.
+//! the session's buffer pool is warm — both for the f32 session and for
+//! its calibrated int8 twin (the deployment configuration of the int8
+//! tier).
 //!
 //! Records cold-call vs steady-state allocation counts (and steady-state
 //! latency) in `BENCH_alloc.json` at the repo root, and **fails** —
-//! failing CI's smoke run — if the steady state allocates. The assertion
+//! failing CI's smoke run — if either steady state allocates. The assertion
 //! runs with the worker pool pinned to one thread so the process-global
 //! counters are attributable to the measured loop; the sharded
 //! `predict_batch` path is recorded unasserted for reference. Set
@@ -46,57 +48,12 @@ fn main() {
     // Spawn the worker pool before measuring: thread startup allocates.
     let _ = qn_parallel::pool_threads();
 
-    // ---- single-sample predict: the asserted zero-alloc path ------------
-    let (cold, steady, steady_ms, reference) = qn_parallel::with_max_threads(1, || {
-        let mut session = InferenceSession::new(&net);
-        let before = snapshot();
-        let y = session.predict(&x);
-        let cold = snapshot().since(&before);
-        let reference = y.clone();
-        session.recycle(y);
-        // a few more rounds so every pool bucket reaches steady state
-        for _ in 0..3 {
-            let y = session.predict(&x);
-            session.recycle(y);
-        }
-        let iters = 10u64;
-        let before = snapshot();
-        let mut sink = 0.0f32;
-        for _ in 0..iters {
-            let y = session.predict(&x);
-            sink += y.data()[0];
-            session.recycle(y);
-        }
-        let steady = snapshot().since(&before);
-        std::hint::black_box(sink);
-        let steady_ms = time_mean(samples, || {
-            let y = session.predict(&x);
-            std::hint::black_box(y.data()[0]);
-            session.recycle(y);
-        }) * 1e3;
-        // steady-state output must still be the cold output, bit for bit
-        let y = session.predict(&x);
-        assert!(
-            y.bit_identical(&reference),
-            "pooled steady state must reproduce the cold result bit-for-bit"
-        );
-        session.recycle(y);
-        (cold, steady, steady_ms, reference)
-    });
-    let per_predict = Snapshot {
-        allocations: steady.allocations / 10,
-        bytes: steady.bytes / 10,
-        frees: steady.frees / 10,
-    };
-    eprintln!(
-        "alloc/predict: cold {} allocations ({} KiB); steady-state {} allocations, {} frees per call, {:.3} ms",
-        cold.allocations,
-        cold.bytes / 1024,
-        per_predict.allocations,
-        per_predict.frees,
-        steady_ms
-    );
-    std::hint::black_box(reference.sum());
+    // ---- single-sample predict: the asserted zero-alloc paths -----------
+    let mut f32_session = InferenceSession::new(&net);
+    let f32_predict = measure_predict(&mut f32_session, &x, samples, "f32");
+    let mut int8_session = InferenceSession::quantized_calibrated(&net, [xb.clone()])
+        .expect("the quadratic ResNet quantizes");
+    let int8_predict = measure_predict(&mut int8_session, &x, samples, "int8 calibrated");
 
     // ---- batched predict (informational, not asserted) ------------------
     let (batch_steady, batch_ms) = {
@@ -136,18 +93,12 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"alloc\",\n  \"model\": \"resnet{depth}_quadratic\",\n  \
 \"input\": [3, {res}, {res}],\n  \"smoke\": {smoke},\n  \"host_cpus\": {host_cpus},\n  \
-\"predict\": {{\n    \"cold_allocations\": {},\n    \"cold_bytes\": {},\n    \
-\"steady_allocations_per_call\": {},\n    \"steady_bytes_per_call\": {},\n    \
-\"steady_frees_per_call\": {},\n    \"steady_ms\": {:.4}\n  }},\n  \
+\"predict\": {},\n  \"predict_int8_calibrated\": {},\n  \
 \"predict_batch\": {{\n    \"batch\": {batch},\n    \
 \"steady_allocations_per_call\": {},\n    \"steady_bytes_per_call\": {},\n    \
 \"steady_ms\": {:.4}\n  }}\n}}\n",
-        cold.allocations,
-        cold.bytes,
-        per_predict.allocations,
-        per_predict.bytes,
-        per_predict.frees,
-        steady_ms,
+        f32_predict.json(),
+        int8_predict.json(),
         batch_steady.allocations,
         batch_steady.bytes,
         batch_ms
@@ -161,16 +112,107 @@ fn main() {
 
     // The contract this bench exists to enforce — checked last so the JSON
     // is written either way; a violation still fails CI's smoke run.
-    assert_eq!(
-        per_predict.allocations, 0,
-        "steady-state predict must perform zero heap allocations \
-         (got {} per call)",
-        per_predict.allocations
+    for (name, m) in [("f32", &f32_predict), ("int8 calibrated", &int8_predict)] {
+        assert_eq!(
+            m.steady.allocations, 0,
+            "steady-state {name} predict must perform zero heap allocations \
+             (got {} per call)",
+            m.steady.allocations
+        );
+        assert_eq!(
+            m.steady.frees, 0,
+            "steady-state {name} predict must free nothing (got {} per call)",
+            m.steady.frees
+        );
+    }
+    eprintln!("alloc: steady-state predict is allocation-free (f32 and int8) ✓");
+}
+
+/// Allocation counts and latency of one session's single-sample predict.
+struct PredictAllocs {
+    cold: Snapshot,
+    /// Per-call steady-state counts.
+    steady: Snapshot,
+    steady_ms: f64,
+}
+
+impl PredictAllocs {
+    fn json(&self) -> String {
+        format!(
+            "{{\n    \"cold_allocations\": {},\n    \"cold_bytes\": {},\n    \
+\"steady_allocations_per_call\": {},\n    \"steady_bytes_per_call\": {},\n    \
+\"steady_frees_per_call\": {},\n    \"steady_ms\": {:.4}\n  }}",
+            self.cold.allocations,
+            self.cold.bytes,
+            self.steady.allocations,
+            self.steady.bytes,
+            self.steady.frees,
+            self.steady_ms
+        )
+    }
+}
+
+/// Measures cold vs steady-state allocations of `session.predict(x)` with
+/// the worker pool pinned to one thread (so the process-global counters
+/// are attributable to the measured loop), and checks that the steady
+/// state reproduces the cold output bit for bit.
+fn measure_predict(
+    session: &mut InferenceSession<'_>,
+    x: &Tensor,
+    samples: usize,
+    name: &str,
+) -> PredictAllocs {
+    let m = qn_parallel::with_max_threads(1, || {
+        let before = snapshot();
+        let y = session.predict(x);
+        let cold = snapshot().since(&before);
+        let reference = y.clone();
+        session.recycle(y);
+        // a few more rounds so every pool bucket reaches steady state
+        for _ in 0..3 {
+            let y = session.predict(x);
+            session.recycle(y);
+        }
+        let iters = 10u64;
+        let before = snapshot();
+        let mut sink = 0.0f32;
+        for _ in 0..iters {
+            let y = session.predict(x);
+            sink += y.data()[0];
+            session.recycle(y);
+        }
+        let steady = snapshot().since(&before);
+        std::hint::black_box(sink);
+        let steady_ms = time_mean(samples, || {
+            let y = session.predict(x);
+            std::hint::black_box(y.data()[0]);
+            session.recycle(y);
+        }) * 1e3;
+        // steady-state output must still be the cold output, bit for bit
+        let y = session.predict(x);
+        assert!(
+            y.bit_identical(&reference),
+            "pooled steady state must reproduce the cold result bit-for-bit"
+        );
+        session.recycle(y);
+        PredictAllocs {
+            cold,
+            steady: Snapshot {
+                allocations: steady.allocations / iters,
+                bytes: steady.bytes / iters,
+                frees: steady.frees / iters,
+            },
+            steady_ms,
+        }
+    });
+    eprintln!(
+        "alloc/predict ({name}): cold {} allocations ({} KiB); steady-state {} allocations, \
+         {} frees per call, {:.3} ms",
+        m.cold.allocations,
+        m.cold.bytes / 1024,
+        m.steady.allocations,
+        m.steady.frees,
+        m.steady_ms
     );
-    assert_eq!(
-        per_predict.frees, 0,
-        "steady-state predict must free nothing (got {} per call)",
-        per_predict.frees
-    );
-    eprintln!("alloc: steady-state predict is allocation-free ✓");
+    m
 }

@@ -15,11 +15,12 @@
 //! convolution by im2col lowering, exactly like
 //! [`PatchConv2d`](super::PatchConv2d) does for the f32 original.
 //!
-//! Like the `qn-nn` quantized layers, forwards compute off-tape and
-//! re-enter the graph as leaves: no gradients flow.
+//! Like the `qn-nn` quantized layers, forwards compute off-tape through
+//! [`Exec::detached`]: no gradients flow, and the eager path writes into
+//! recycled arena slots.
 
 use qn_autograd::{Exec, Var};
-use qn_nn::quant::{quantize_acts, ACT_STATS_NAME};
+use qn_nn::quant::{out_dims, quantize_acts_into, ACT_STATS_NAME};
 use qn_nn::{Costs, Module, ParamVisitor};
 use qn_tensor::{gemm_i8, Conv2dSpec, MatMut, MatRefI8, QTensor, Tensor, GEMM_I8_MAX_K};
 use std::sync::RwLock;
@@ -101,71 +102,68 @@ impl QuantizedQuadratic {
         self.q.weight_bytes() + self.w.weight_bytes()
     }
 
-    /// `[lead, n] -> [lead, out]` forward on raw data, off-tape.
-    fn apply(&self, xd: &[f32], lead: usize) -> Vec<f32> {
+    /// `[lead, n] -> [lead, out]` forward on raw data into `out` (fully
+    /// overwritten), off-tape. Activation codes and the two GEMM outputs
+    /// live in per-thread scratch, so a steady-state call allocates nothing.
+    fn apply(&self, xd: &[f32], lead: usize, out: &mut [f32]) {
         let (m, k, n) = (self.m, self.k, self.n);
-        let (codes, sa) = quantize_acts(&self.act_stats, xd, lead, n);
-        let a = MatRefI8::new(&codes, lead, n);
-        // one quantization of x feeds both products
-        let mut f = vec![0.0f32; lead * m * k];
-        gemm_i8(
-            MatMut::new(&mut f, lead, m * k),
-            a,
-            self.q.mat().transpose(),
-            &sa,
-            self.q.scales(),
-        );
-        let mut y1 = vec![0.0f32; lead * m];
-        gemm_i8(
-            MatMut::new(&mut y1, lead, m),
-            a,
-            self.w.mat().transpose(),
-            &sa,
-            self.w.scales(),
-        );
-        let width = self.out_features();
-        let (lam, bias) = (self.lambda.data(), self.b.data());
-        let mut out = vec![0.0f32; lead * width];
-        for bi in 0..lead {
-            let frow = &f[bi * m * k..(bi + 1) * m * k];
-            let orow = &mut out[bi * width..(bi + 1) * width];
-            for j in 0..m {
-                let fj = &frow[j * k..(j + 1) * k];
-                let mut y = y1[bi * m + j] + bias[j];
-                for i in 0..k {
-                    y += lam[j * k + i] * fj[i] * fj[i];
-                }
-                if self.vectorized {
-                    orow[j * (k + 1)] = y;
-                    orow[j * (k + 1) + 1..(j + 1) * (k + 1)].copy_from_slice(fj);
-                } else {
-                    orow[j] = y;
+        /// Activation codes, their row scales, `f` and `xWᵀ`.
+        type Scratch = (Vec<i8>, Vec<f32>, Vec<f32>, Vec<f32>);
+        thread_local! {
+            static SCRATCH: std::cell::RefCell<Scratch> =
+                const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
+        }
+        SCRATCH.with(|scratch| {
+            let (codes, sa, f, y1) = &mut *scratch.borrow_mut();
+            quantize_acts_into(&self.act_stats, xd, lead, n, codes, sa);
+            let a = MatRefI8::new(codes, lead, n);
+            // one quantization of x feeds both products
+            f.resize(lead * m * k, 0.0);
+            gemm_i8(
+                MatMut::new(f, lead, m * k),
+                a,
+                self.q.mat().transpose(),
+                sa,
+                self.q.scales(),
+            );
+            y1.resize(lead * m, 0.0);
+            gemm_i8(
+                MatMut::new(y1, lead, m),
+                a,
+                self.w.mat().transpose(),
+                sa,
+                self.w.scales(),
+            );
+            let width = self.out_features();
+            let (lam, bias) = (self.lambda.data(), self.b.data());
+            for bi in 0..lead {
+                let frow = &f[bi * m * k..(bi + 1) * m * k];
+                let orow = &mut out[bi * width..(bi + 1) * width];
+                for j in 0..m {
+                    let fj = &frow[j * k..(j + 1) * k];
+                    let mut y = y1[bi * m + j] + bias[j];
+                    for i in 0..k {
+                        y += lam[j * k + i] * fj[i] * fj[i];
+                    }
+                    if self.vectorized {
+                        orow[j * (k + 1)] = y;
+                        orow[j * (k + 1) + 1..(j + 1) * (k + 1)].copy_from_slice(fj);
+                    } else {
+                        orow[j] = y;
+                    }
                 }
             }
-        }
-        out
+        });
     }
 }
 
 impl Module for QuantizedQuadratic {
     fn forward(&self, cx: &mut dyn Exec, x: Var) -> Var {
-        let dims = cx.value(x).shape().dims().to_vec();
-        let nd = dims.len();
-        assert!(
-            nd >= 1 && dims[nd - 1] == self.n,
-            "QuantizedQuadratic: input trailing dim {:?} != {}",
-            dims,
-            self.n
-        );
-        let lead: usize = dims[..nd - 1].iter().product();
-        let mut out_dims = dims;
-        out_dims[nd - 1] = self.out_features();
-        let y = {
-            let xt = cx.value(x);
-            let data = self.apply(xt.data(), lead);
-            Tensor::from_vec(data, &out_dims).expect("quantized output shape is consistent")
-        };
-        cx.leaf(y)
+        let (out_dims, nd) = out_dims(cx.value(x), self.n, self.out_features());
+        let lead = out_dims[..nd - 1].iter().product();
+        cx.detached(x, &out_dims[..nd], &mut |xt, y| {
+            self.apply(xt.data(), lead, y)
+        })
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {

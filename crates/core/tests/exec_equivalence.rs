@@ -2,8 +2,9 @@
 //!
 //! Each property builds a layer with randomized shape/rank, runs the same
 //! forward pass on the autograd tape ([`Graph`]) and on the eager arena
-//! ([`EagerExec`]), and asserts the outputs agree within 1e-6 — the
-//! contract the dual-mode [`qn_nn::Module`] API relies on.
+//! ([`EagerExec`]), and asserts the outputs are bit-identical — the
+//! contract the dual-mode [`qn_nn::Module`] API relies on, under either
+//! kernel profile (both contexts run the same forward kernels).
 
 use proptest::prelude::*;
 use qn_autograd::{EagerExec, Exec, Graph};
@@ -30,8 +31,8 @@ fn assert_equivalent(layer: &dyn Module, x: &Tensor) -> Result<(), TestCaseError
 
     prop_assert_eq!(taped.shape().dims(), eager.shape().dims());
     prop_assert!(
-        taped.allclose(eager, 1e-6),
-        "tape and eager outputs diverge beyond 1e-6"
+        taped.allclose(eager, 0.0),
+        "tape and eager outputs are not bit-identical"
     );
     Ok(())
 }
@@ -187,5 +188,30 @@ proptest! {
             let x = Tensor::randn(&[1, 2, 5, 5], &mut rng);
             assert_equivalent(layer.as_ref(), &x)?;
         }
+    }
+}
+
+/// Node counts: with one kernel per op, an inference-mode tape forward
+/// records exactly one node per value the eager arena holds — no op
+/// expands into a taped chain of primitives.
+#[test]
+fn tape_records_one_node_per_eager_value() {
+    let mut rng = Rng::seed_from(5);
+    let spec = Conv2dSpec::new(3, 1, 1);
+    let conv = qn_nn::Conv2d::new(3, 4, spec, true, &mut rng);
+    let dense = EfficientQuadraticLinear::new(6, 3, 2, &mut rng);
+    let quad_conv = EfficientQuadraticConv2d::efficient(3, 2, 3, spec, &mut rng);
+    let image = Tensor::randn(&[2, 3, 5, 5], &mut rng);
+    let rows = Tensor::randn(&[4, 6], &mut rng);
+    let cases: [(&dyn Module, &Tensor); 3] =
+        [(&conv, &image), (&dense, &rows), (&quad_conv, &image)];
+    for (layer, x) in cases {
+        let mut g = Graph::new();
+        let xv = g.leaf(x.clone());
+        layer.forward(&mut g, xv);
+        let mut e = EagerExec::new();
+        let xe = e.leaf(x.clone());
+        layer.forward(&mut e, xe);
+        assert_eq!(g.len(), e.len(), "tape nodes vs eager values");
     }
 }

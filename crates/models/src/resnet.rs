@@ -132,7 +132,7 @@ impl Module for BasicBlock {
         // Both bn tails run through the fused elementwise chain: in
         // inference the eager path does bn1+relu in one activation pass and
         // bn2+residual+relu in another, instead of five passes; in training
-        // the same calls decompose onto the tape (bit-identical values).
+        // they are the ordinary bn, add and relu ops (bit-identical values).
         let out = self.conv1.forward(g, x);
         let out = self.bn1.forward_fused(g, out, true, None);
         let out = self.conv2.forward(g, out);

@@ -95,13 +95,14 @@ impl BatchNorm2d {
     /// optional residual add, then an optional ReLU — the `conv → bn
     /// (→ add → relu)` shape of every ResNet block.
     ///
-    /// In **training** mode this decomposes into the ordinary primitives
-    /// (`forward`, `add`, `relu`) so the tape records every stage and the
-    /// running statistics update. In **inference** mode the whole tail runs
-    /// as one [`Exec::elemwise_chain`] — on the eager path a single pass
-    /// over the activation instead of three — with bitwise-identical
-    /// values (each element sees the same scalar expressions in the same
-    /// order).
+    /// In **training** mode this is the ordinary sequence of ops
+    /// (`forward`, `add`, `relu`): batch statistics are the one
+    /// training-only forward, and the running statistics must update. In
+    /// **inference** mode the whole tail is one [`Exec::elemwise_chain`]:
+    /// on the eager path a single pass over the activation instead of
+    /// three, on an inference-mode tape one node per stage from the same
+    /// kernel — bitwise-identical values either way (each element sees the
+    /// same scalar expressions in the same order).
     ///
     /// # Panics
     ///

@@ -29,10 +29,11 @@
 //!
 //! # No gradients
 //!
-//! Quantized forwards read the input value, compute in int8 off-tape, and
-//! re-enter the graph as a **leaf**: gradients do not flow through a
-//! quantized layer. These modules are for inference; keep the f32 original
-//! for training.
+//! Quantized forwards read the input value and compute in int8 through
+//! [`Exec::detached`]: on a tape the result is a **leaf**, so gradients do
+//! not flow through a quantized layer, and on the eager path it lands in a
+//! recycled arena slot, so a steady-state `predict` allocates nothing.
+//! These modules are for inference; keep the f32 original for training.
 
 use crate::layers::Linear;
 use crate::module::{Costs, Module, ParamVisitor};
@@ -52,34 +53,21 @@ fn new_act_stats() -> RwLock<Tensor> {
     RwLock::new(Tensor::zeros(&[2]))
 }
 
-/// Quantizes a `[rows, cols]` activation block against `stats`.
+/// Quantizes a `[rows, cols]` activation block against `stats` into
+/// caller-provided buffers, resized to `rows·cols` int8 codes and `rows`
+/// per-row scales ([`gemm_i8`]'s `sa` operand). The inference hot path
+/// passes per-thread scratch, so it allocates nothing in steady state.
 ///
 /// With a frozen scale, every row uses it (out-of-range values saturate).
 /// Otherwise each row is quantized with its own absmax and the batch
-/// absmax is folded into `stats[0]` — see the module docs. Returns the
-/// int8 codes and the per-row scales ([`gemm_i8`]'s `sa` operand); a
-/// zero (or non-finite-free all-zero) row gets scale `0.0` and all-zero
-/// codes, which [`gemm_i8`] turns into exact zero outputs.
+/// absmax is folded into `stats[0]` — see the module docs. A zero (or
+/// non-finite-free all-zero) row gets scale `0.0` and all-zero codes,
+/// which [`gemm_i8`] turns into exact zero outputs.
 ///
 /// # Panics
 ///
 /// Panics if `x.len() != rows * cols` or the stats lock is poisoned.
-pub fn quantize_acts(
-    stats: &RwLock<Tensor>,
-    x: &[f32],
-    rows: usize,
-    cols: usize,
-) -> (Vec<i8>, Vec<f32>) {
-    let mut codes = Vec::new();
-    let mut scales = Vec::new();
-    quantize_acts_into(stats, x, rows, cols, &mut codes, &mut scales);
-    (codes, scales)
-}
-
-/// [`quantize_acts`] writing into caller-provided buffers (cleared and
-/// resized) — the allocation-free form the inference hot path uses with
-/// per-thread scratch.
-fn quantize_acts_into(
+pub fn quantize_acts_into(
     stats: &RwLock<Tensor>,
     x: &[f32],
     rows: usize,
@@ -130,6 +118,27 @@ fn quantize_acts_into(
     }
 }
 
+/// Output shape of a dense int8 layer on `x`: `x`'s dims with the trailing
+/// `in_features` replaced by `out_features`, on the stack (rank ≤ 8) so the
+/// serving path allocates nothing. Returns the dims buffer and the rank.
+///
+/// # Panics
+///
+/// Panics if `x` is rank 0 or above 8, or its trailing dim is not
+/// `in_features`.
+pub fn out_dims(x: &Tensor, in_features: usize, out_features: usize) -> ([usize; 8], usize) {
+    let d = x.shape().dims();
+    let nd = d.len();
+    assert!(
+        (1..=8).contains(&nd) && d[nd - 1] == in_features,
+        "int8 dense layer: input dims {d:?} do not end in {in_features} (rank 1..=8)"
+    );
+    let mut dims = [0usize; 8];
+    dims[..nd].copy_from_slice(d);
+    dims[nd - 1] = out_features;
+    (dims, nd)
+}
+
 /// The shared int8 matmul engine behind [`QuantizedLinear`] and
 /// [`QuantizedConv2d`]: quantized `[out, in]` weights, optional f32 bias,
 /// and the layer's activation statistics.
@@ -162,8 +171,9 @@ impl Int8Core {
         }
     }
 
-    /// `[rows, in] × [in, out] + bias`, all in int8 with an f32 epilogue.
-    fn apply(&self, x: &[f32], rows: usize) -> Vec<f32> {
+    /// `[rows, in] × [in, out] + bias` into `y` (`rows·out` elements, fully
+    /// overwritten), all in int8 with an f32 epilogue.
+    fn apply(&self, x: &[f32], rows: usize, y: &mut [f32]) {
         let (k, out) = (self.weight.cols(), self.weight.rows());
         // activation codes die as soon as the GEMM consumes them, so each
         // thread reuses one scratch pair across layers and forwards
@@ -175,9 +185,8 @@ impl Int8Core {
         ACT_SCRATCH.with(|scratch| {
             let (codes, sa) = &mut *scratch.borrow_mut();
             quantize_acts_into(&self.act_stats, x, rows, k, codes, sa);
-            let mut y = vec![0.0f32; rows * out];
             gemm_i8(
-                MatMut::new(&mut y, rows, out),
+                MatMut::new(y, rows, out),
                 MatRefI8::new(codes, rows, k),
                 // `[out, in]` row-major transposed is `[in, out]` with unit
                 // row stride, so gemm_i8 reads weight rows as contiguous
@@ -186,16 +195,15 @@ impl Int8Core {
                 sa,
                 self.weight.scales(),
             );
-            if let Some(b) = &self.bias {
-                let bd = b.data();
-                for row in y.chunks_exact_mut(out) {
-                    for (o, &bv) in row.iter_mut().zip(bd) {
-                        *o += bv;
-                    }
+        });
+        if let Some(b) = &self.bias {
+            let bd = b.data();
+            for row in y.chunks_exact_mut(out) {
+                for (o, &bv) in row.iter_mut().zip(bd) {
+                    *o += bv;
                 }
             }
-            y
-        })
+        }
     }
 
     fn clone_core(&self) -> Int8Core {
@@ -267,23 +275,11 @@ impl QuantizedLinear {
 
 impl Module for QuantizedLinear {
     fn forward(&self, cx: &mut dyn Exec, x: Var) -> Var {
-        let dims = cx.value(x).shape().dims().to_vec();
-        let nd = dims.len();
-        assert!(
-            nd >= 1 && dims[nd - 1] == self.in_features,
-            "QuantizedLinear: input trailing dim {:?} != {}",
-            dims,
-            self.in_features
-        );
-        let lead: usize = dims[..nd - 1].iter().product();
-        let mut out_dims = dims;
-        out_dims[nd - 1] = self.out_features;
-        let y = {
-            let xt = cx.value(x);
-            let data = self.core.apply(xt.data(), lead);
-            Tensor::from_vec(data, &out_dims).expect("quantized output shape is consistent")
-        };
-        cx.leaf(y)
+        let (out_dims, nd) = out_dims(cx.value(x), self.in_features, self.out_features);
+        let lead = out_dims[..nd - 1].iter().product();
+        cx.detached(x, &out_dims[..nd], &mut |xt, y| {
+            self.core.apply(xt.data(), lead, y)
+        })
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {
@@ -374,14 +370,10 @@ impl Module for QuantizedConv2d {
         );
         let (oh, ow) = self.spec.output_hw(h, w);
         let patches = cx.im2col(x, self.spec);
-        let y = {
-            let p = cx.value(patches);
-            let (rows, _) = p.dims2();
-            let data = self.core.apply(p.data(), rows);
-            Tensor::from_vec(data, &[rows, self.out_channels])
-                .expect("quantized conv output shape is consistent")
-        };
-        let yv = cx.leaf(y);
+        let rows = b * oh * ow;
+        let yv = cx.detached(patches, &[rows, self.out_channels], &mut |p, y| {
+            self.core.apply(p.data(), rows, y)
+        });
         cx.rows_to_nchw(yv, b, oh, ow, self.out_channels)
     }
 
@@ -592,7 +584,8 @@ mod tests {
         // an input far beyond the calibrated range must saturate, not
         // rescale.
         let big = Tensor::from_vec(vec![1e6; 8], &[1, 8]).unwrap();
-        let (codes, scales) = quantize_acts(&q.core.act_stats, big.data(), 1, 8);
+        let (mut codes, mut scales) = (Vec::new(), Vec::new());
+        quantize_acts_into(&q.core.act_stats, big.data(), 1, 8, &mut codes, &mut scales);
         assert!(codes.iter().all(|&c| c == 127 || c == -127));
         assert!((scales[0] - q.frozen_scale()).abs() < 1e-12);
     }

@@ -50,92 +50,62 @@ impl PoolSpec {
     }
 }
 
-/// Max pooling over `[B, C, H, W]`; returns the pooled tensor and the flat
-/// argmax index of each output element (for the backward pass).
+/// Max pooling over `[B, C, H, W]` into a caller-provided buffer of
+/// `B·C·OH·OW` elements (fully overwritten). When `argmax` is given (same
+/// length), it receives the flat input index of each output's winner — the
+/// routing the backward pass needs; inference passes `None` and skips it.
 ///
 /// # Panics
 ///
-/// Panics if `input` is not 4-D or smaller than the window.
-pub fn max_pool2d(input: &Tensor, spec: PoolSpec) -> (Tensor, Vec<usize>) {
+/// Panics if `input` is not 4-D, smaller than the window, or `dst`/`argmax`
+/// has the wrong length.
+pub fn max_pool2d(dst: &mut [f32], input: &Tensor, spec: PoolSpec, argmax: Option<&mut [usize]>) {
     let (b, c, h, w) = input.dims4();
     let (oh, ow) = spec.output_hw(h, w);
-    let mut out = Tensor::zeros(&[b, c, oh, ow]);
-    let mut arg = vec![0usize; b * c * oh * ow];
+    assert_eq!(dst.len(), b * c * oh * ow, "max_pool2d length mismatch");
     let data = input.data();
-    // One unit per (batch, channel) plane: pooled values and argmax indices
-    // for a plane are disjoint output slabs, so the sweep parallelizes over
-    // `b·c` with identical per-plane results at any thread count.
-    qn_parallel::par_chunks_mut_pair_min(
-        out.data_mut(),
-        oh * ow,
-        &mut arg,
-        oh * ow,
-        PAR_MIN_ELEMS,
-        |plane, out_plane, arg_plane| {
-            let img = plane * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for ky in 0..spec.window {
-                        for kx in 0..spec.window {
-                            let iy = oy * spec.stride + ky;
-                            let ix = ox * spec.stride + kx;
-                            let idx = img + iy * w + ix;
-                            if data[idx] > best {
-                                best = data[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    let o = oy * ow + ox;
-                    out_plane[o] = best;
-                    arg_plane[o] = best_idx;
-                }
-            }
-        },
-    );
-    (out, arg)
-}
-
-/// Values-only [`max_pool2d`] into a caller-provided buffer of
-/// `B·C·OH·OW` elements (fully overwritten) — the inference path, which
-/// never needs the argmax indices and so skips their allocation entirely.
-/// Bit-identical to the values returned by [`max_pool2d`].
-///
-/// # Panics
-///
-/// Panics if `input` is not 4-D, smaller than the window, or `dst` has the
-/// wrong length.
-pub fn max_pool2d_into(dst: &mut [f32], input: &Tensor, spec: PoolSpec) {
-    let (b, c, h, w) = input.dims4();
-    let (oh, ow) = spec.output_hw(h, w);
-    assert_eq!(
-        dst.len(),
-        b * c * oh * ow,
-        "max_pool2d_into length mismatch"
-    );
-    let data = input.data();
-    // Same plane split and scan order as max_pool2d.
-    qn_parallel::par_chunks_mut_min(dst, oh * ow, PAR_MIN_ELEMS, |plane, out_plane| {
+    let pool_plane = |plane: usize, out_plane: &mut [f32], mut arg_plane: Option<&mut [usize]>| {
         let img = plane * h * w;
         for oy in 0..oh {
             for ox in 0..ow {
                 let mut best = f32::NEG_INFINITY;
+                let mut best_idx = 0usize;
                 for ky in 0..spec.window {
                     for kx in 0..spec.window {
-                        let iy = oy * spec.stride + ky;
-                        let ix = ox * spec.stride + kx;
-                        let v = data[img + iy * w + ix];
-                        if v > best {
-                            best = v;
+                        let idx = img + (oy * spec.stride + ky) * w + ox * spec.stride + kx;
+                        if data[idx] > best {
+                            best = data[idx];
+                            best_idx = idx;
                         }
                     }
                 }
-                out_plane[oy * ow + ox] = best;
+                let o = oy * ow + ox;
+                out_plane[o] = best;
+                if let Some(arg) = arg_plane.as_deref_mut() {
+                    arg[o] = best_idx;
+                }
             }
         }
-    });
+    };
+    // One unit per (batch, channel) plane: pooled values and argmax indices
+    // for a plane are disjoint output slabs, so the sweep parallelizes over
+    // `b·c` with identical per-plane results at any thread count.
+    match argmax {
+        Some(arg) => {
+            assert_eq!(arg.len(), dst.len(), "max_pool2d argmax length mismatch");
+            qn_parallel::par_chunks_mut_pair_min(
+                dst,
+                oh * ow,
+                arg,
+                oh * ow,
+                PAR_MIN_ELEMS,
+                |plane, out_plane, arg_plane| pool_plane(plane, out_plane, Some(arg_plane)),
+            );
+        }
+        None => qn_parallel::par_chunks_mut_min(dst, oh * ow, PAR_MIN_ELEMS, |plane, out_plane| {
+            pool_plane(plane, out_plane, None)
+        }),
+    }
 }
 
 /// Backward pass of [`max_pool2d`]: routes each output gradient to the
@@ -158,21 +128,8 @@ pub fn max_pool2d_backward(
     out
 }
 
-/// Average pooling over `[B, C, H, W]`.
-///
-/// # Panics
-///
-/// Panics if `input` is not 4-D or smaller than the window.
-pub fn avg_pool2d(input: &Tensor, spec: PoolSpec) -> Tensor {
-    let (b, c, h, w) = input.dims4();
-    let (oh, ow) = spec.output_hw(h, w);
-    let mut out = Tensor::zeros(&[b, c, oh, ow]);
-    avg_pool2d_into(out.data_mut(), input, spec);
-    out
-}
-
-/// [`avg_pool2d`] into a caller-provided buffer of `B·C·OH·OW` elements
-/// (fully overwritten). Bit-identical to the allocating version.
+/// Average pooling over `[B, C, H, W]` into a caller-provided buffer of
+/// `B·C·OH·OW` elements (fully overwritten).
 ///
 /// # Panics
 ///
@@ -205,7 +162,7 @@ pub fn avg_pool2d_into(dst: &mut [f32], input: &Tensor, spec: PoolSpec) {
     });
 }
 
-/// Backward pass of [`avg_pool2d`]: spreads each output gradient uniformly
+/// Backward pass of [`avg_pool2d_into`]: spreads each output gradient uniformly
 /// over its window.
 ///
 /// # Panics
@@ -246,6 +203,14 @@ mod tests {
     use super::*;
     use crate::Rng;
 
+    fn avg_pool2d(input: &Tensor, spec: PoolSpec) -> Tensor {
+        let (b, c, h, w) = input.dims4();
+        let (oh, ow) = spec.output_hw(h, w);
+        let mut out = Tensor::zeros(&[b, c, oh, ow]);
+        avg_pool2d_into(out.data_mut(), input, spec);
+        out
+    }
+
     #[test]
     fn max_pool_known_values() {
         let x = Tensor::from_vec(
@@ -256,16 +221,21 @@ mod tests {
             &[1, 1, 4, 4],
         )
         .unwrap();
-        let (y, arg) = max_pool2d(&x, PoolSpec::new(2, 2));
-        assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
-        assert_eq!(arg, vec![5, 7, 13, 15]);
+        let mut y = [0.0f32; 4];
+        let mut arg = [0usize; 4];
+        max_pool2d(&mut y, &x, PoolSpec::new(2, 2), Some(&mut arg));
+        assert_eq!(y, [6.0, 8.0, 14.0, 16.0]);
+        assert_eq!(arg, [5, 7, 13, 15]);
+        let mut values_only = [0.0f32; 4];
+        max_pool2d(&mut values_only, &x, PoolSpec::new(2, 2), None);
+        assert_eq!(values_only, y);
     }
 
     #[test]
     fn max_pool_backward_routes_to_argmax() {
         let x = Tensor::from_vec(vec![1.0, 5.0, 2.0, 3.0], &[1, 1, 2, 2]).unwrap();
-        let (_, arg) = max_pool2d(&x, PoolSpec::new(2, 2));
+        let mut arg = [0usize; 1];
+        max_pool2d(&mut [0.0], &x, PoolSpec::new(2, 2), Some(&mut arg));
         let g = Tensor::from_vec(vec![2.5], &[1, 1, 1, 1]).unwrap();
         let back = max_pool2d_backward(&g, &arg, (1, 1, 2, 2));
         assert_eq!(back.data(), &[0.0, 2.5, 0.0, 0.0]);

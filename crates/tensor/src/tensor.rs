@@ -558,56 +558,6 @@ impl Tensor {
         out
     }
 
-    /// Adds a length-`C` bias to every spatial position of a `[B, C, H, W]`
-    /// tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not 4-D or `bias` is not 1-D of matching channels.
-    pub fn add_channel(&self, bias: &Tensor) -> Self {
-        assert_eq!(self.ndim(), 4, "add_channel requires a 4-D tensor");
-        assert_eq!(bias.ndim(), 1, "bias must be 1-D");
-        let (b, c, h, w) = self.dims4();
-        assert_eq!(bias.numel(), c, "bias width {} != {}", bias.numel(), c);
-        let mut out = self.clone();
-        let hw = h * w;
-        for bi in 0..b {
-            for ci in 0..c {
-                let base = (bi * c + ci) * hw;
-                let add = bias.data[ci];
-                for v in &mut out.data[base..base + hw] {
-                    *v += add;
-                }
-            }
-        }
-        out
-    }
-
-    /// Multiplies each channel of a `[B, C, H, W]` tensor by a per-channel
-    /// factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank/width mismatch (see [`Tensor::add_channel`]).
-    pub fn mul_channel(&self, scale: &Tensor) -> Self {
-        assert_eq!(self.ndim(), 4, "mul_channel requires a 4-D tensor");
-        assert_eq!(scale.ndim(), 1, "scale must be 1-D");
-        let (b, c, h, w) = self.dims4();
-        assert_eq!(scale.numel(), c, "scale width {} != {}", scale.numel(), c);
-        let mut out = self.clone();
-        let hw = h * w;
-        for bi in 0..b {
-            for ci in 0..c {
-                let base = (bi * c + ci) * hw;
-                let s = scale.data[ci];
-                for v in &mut out.data[base..base + hw] {
-                    *v *= s;
-                }
-            }
-        }
-        out
-    }
-
     /// Convenience destructuring of a 4-D shape.
     ///
     /// # Panics
@@ -1293,18 +1243,6 @@ mod tests {
         let f = a.flip_horizontal();
         assert_eq!(f.get(&[0, 0, 0, 0]), a.get(&[0, 0, 0, 4]));
         assert!(f.flip_horizontal().allclose(&a, 0.0));
-    }
-
-    #[test]
-    fn channel_broadcasts() {
-        let a = Tensor::ones(&[1, 2, 2, 2]);
-        let bias = t(&[1.0, -1.0], &[2]);
-        let ab = a.add_channel(&bias);
-        assert_eq!(ab.get(&[0, 0, 1, 1]), 2.0);
-        assert_eq!(ab.get(&[0, 1, 0, 0]), 0.0);
-        let ms = a.mul_channel(&t(&[2.0, 3.0], &[2]));
-        assert_eq!(ms.get(&[0, 0, 0, 0]), 2.0);
-        assert_eq!(ms.get(&[0, 1, 1, 0]), 3.0);
     }
 
     #[test]
