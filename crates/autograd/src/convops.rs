@@ -2,7 +2,11 @@
 
 use crate::graph::{Graph, Var};
 use crate::kernels::{self, eval};
-use qn_tensor::{avg_pool2d_backward, col2im, max_pool2d_backward, Conv2dSpec, PoolSpec, Tensor};
+use crate::PAR_MIN_ELEMS;
+use qn_tensor::{
+    avg_pool2d_backward, col2im, elemwise, gemm, max_pool2d_backward, Conv2dSpec, MatMut, MatRef,
+    PoolSpec, Tensor,
+};
 
 impl Graph {
     /// Lowers `[B, C, H, W]` to patch rows `[B·OH·OW, C·K·K]` (differentiable
@@ -59,6 +63,165 @@ impl Graph {
                 vec![
                     col2im(&dcols, spec, dims),
                     dw.into_reshaped(&wdims).expect("weight shape consistent"),
+                ]
+            })),
+        )
+    }
+
+    /// The efficient quadratic neuron as a convolution (see
+    /// [`Exec::quadratic_conv`](crate::Exec::quadratic_conv)), recorded as
+    /// one node with parents `[x, q, λ, w, b]`. It saves the patch matrix,
+    /// the stacked `[w_j; Q_j]` weight the forward GEMM ran on and the
+    /// feature rows `f` (`[B·OH·OW, m·k]`), all drawn from the attached
+    /// pool and handed back by the backward pass; of the operands only λ's
+    /// `m·k` values are copied.
+    ///
+    /// The backward closure repeats the decomposition's chain rule with the
+    /// same expressions in the same order, so gradients equal it bit for
+    /// bit under `exact`:
+    ///
+    /// - `g_y` and `g_f`: the output gradient de-interleaved into rows;
+    /// - `db = Σ g_y` and `dλ = Σ g_y·(f·f)`, rows ascending;
+    /// - `gf = g_f + ((g_y·λ)·f)·2`;
+    /// - `dw = g_yᵀ·cols` and `dq = gfᵀ·cols`;
+    /// - `dcols = g_y·w + gf·q` as two GEMMs then one add (a single GEMM
+    ///   over the stack would reassociate it), then `col2im`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the shape mismatches of the forward kernel.
+    pub fn quadratic_conv(
+        &mut self,
+        x: Var,
+        q: Var,
+        lambda: Var,
+        w: Var,
+        b: Var,
+        spec: Conv2dSpec,
+    ) -> Var {
+        let dims = self.value(x).dims4();
+        let (m, k) = self.value(lambda).dims2();
+        let lam = self.value(lambda).data().to_vec();
+        let bdims = self.value(b).shape().dims().to_vec();
+        let scratch = self.scratch();
+        let mut value = kernels::fresh();
+        let (cols, stack) = kernels::quadratic_conv(
+            &mut value,
+            self.value(x),
+            self.value(q),
+            self.value(lambda),
+            self.value(w),
+            self.value(b),
+            spec,
+            |len| scratch.take(len),
+        );
+        let (bn, c, h, wd) = dims;
+        let (oh, ow) = spec.output_hw(h, wd);
+        let (hw, n, mk, ch) = (oh * ow, spec.patch_len(c), m * k, m * (k + 1));
+        let rows = bn * hw;
+        // channel of feature t = j·k + i in the interleaved output
+        let fchan = move |t: usize| t / k * (k + 1) + 1 + t % k;
+        let mut f = scratch.take(rows * mk);
+        let od = value.data();
+        qn_parallel::par_chunks_mut_min(&mut f, (hw * mk).max(1), PAR_MIN_ELEMS, |bi, frows| {
+            for t in 0..mk {
+                let plane = &od[(bi * ch + fchan(t)) * hw..][..hw];
+                for (p, &v) in plane.iter().enumerate() {
+                    frows[p * mk + t] = v;
+                }
+            }
+        });
+        self.push_ephemeral(
+            value,
+            vec![x.id, q.id, lambda.id, w.id, b.id],
+            Some(Box::new(move |g: Tensor| {
+                let gd = g.data();
+                // g_y [rows, m], de-interleaved from the NCHW gradient
+                let mut gy = scratch.take(rows * m);
+                for bi in 0..bn {
+                    for j in 0..m {
+                        let plane = &gd[(bi * ch + j * (k + 1)) * hw..][..hw];
+                        for (p, &v) in plane.iter().enumerate() {
+                            gy[(bi * hw + p) * m + j] = v;
+                        }
+                    }
+                }
+                // gf = g_f + ((g_y·λ)·f)·2: interleave's share, then the
+                // weighted square sum's
+                let mut gf = scratch.take(rows * mk);
+                qn_parallel::par_chunks_mut_min(
+                    &mut gf,
+                    (hw * mk).max(1),
+                    PAR_MIN_ELEMS,
+                    |bi, grows| {
+                        for t in 0..mk {
+                            let plane = &gd[(bi * ch + fchan(t)) * hw..][..hw];
+                            for (p, &gv) in plane.iter().enumerate() {
+                                let r = bi * hw + p;
+                                grows[p * mk + t] =
+                                    gv + gy[r * m + t / k] * lam[t] * f[r * mk + t] * 2.0;
+                            }
+                        }
+                    },
+                );
+                // db = Σ g_y and dλ = Σ g_y·(f·f), rows ascending
+                let mut db = vec![0.0f32; m];
+                let mut dlam = vec![0.0f32; mk];
+                for (grow, frow) in gy.chunks(m).zip(f.chunks(mk)) {
+                    for (o, &v) in db.iter_mut().zip(grow) {
+                        *o += v;
+                    }
+                    for (t, o) in dlam.iter_mut().enumerate() {
+                        let v = frow[t];
+                        *o += grow[t / k] * (v * v);
+                    }
+                }
+                let colsm = MatRef::new(&cols, rows, n);
+                let mut dw = vec![0.0f32; m * n];
+                gemm(
+                    MatMut::new(&mut dw, m, n),
+                    MatRef::new(&gy, rows, m).transpose(),
+                    colsm,
+                );
+                let mut dq = vec![0.0f32; mk * n];
+                gemm(
+                    MatMut::new(&mut dq, mk, n),
+                    MatRef::new(&gf, rows, mk).transpose(),
+                    colsm,
+                );
+                // dcols = g_y·w + gf·q; w is a strided view of the stack,
+                // q is de-interleaved out of it
+                let mut dcols = scratch.take(rows * n);
+                gemm(
+                    MatMut::new(&mut dcols, rows, n),
+                    MatRef::new(&gy, rows, m),
+                    MatRef::with_strides(&stack, m, n, (k + 1) * n, 1),
+                );
+                let mut qrows = scratch.take(mk * n);
+                for (dst, src) in qrows.chunks_mut(k * n).zip(stack.chunks((k + 1) * n)) {
+                    dst.copy_from_slice(&src[n..]);
+                }
+                let mut gfq = scratch.take(rows * n);
+                gemm(
+                    MatMut::new(&mut gfq, rows, n),
+                    MatRef::new(&gf, rows, mk),
+                    MatRef::new(&qrows, mk, n),
+                );
+                elemwise::zip_assign(&mut dcols, &gfq, |a, b| a + b);
+                let dcols = Tensor::from_vec(dcols, &[rows, n]).expect("patch shape consistent");
+                let dx = col2im(&dcols, spec, dims);
+                for buf in [cols, stack, f, gy, gf, qrows, gfq, dcols.into_vec()] {
+                    scratch.give(buf);
+                }
+                let grad = |data: Vec<f32>, dims: &[usize]| {
+                    Tensor::from_vec(data, dims).expect("gradient shape consistent")
+                };
+                vec![
+                    dx,
+                    grad(dq, &[mk, n]),
+                    grad(dlam, &[m, k]),
+                    grad(dw, &[m, n]),
+                    grad(db, &bdims),
                 ]
             })),
         )

@@ -233,6 +233,28 @@ pub trait Exec {
     /// layer applied to im2col patches) as a `[B, C, OH, OW]` feature map.
     fn rows_to_nchw(&mut self, v: Var, b: usize, oh: usize, ow: usize, c: usize) -> Var;
 
+    /// The paper's efficient quadratic neuron as a 2-D convolution: `m`
+    /// neurons of rank `k` over the patches of `x` (`[B, C, H, W]`) with
+    /// factors `q` (`[m·k, n]`), `lambda` (`[m, k]`), `w` (`[m, n]`) and `b`
+    /// (`[m]`), `n = spec.patch_len(C)`. Returns `[B, m·(k+1), OH, OW]`:
+    /// per neuron the output `y = xᵀQΛQᵀx + wᵀx + b`, then its `k` features
+    /// `f = Qᵀx`. One GEMM over the stacked `[w_j; Q_j]` rows plus one
+    /// epilogue pass, equal bit for bit under the `exact` kernel profile to
+    /// `im2col` → `matmul_transb(q)` →
+    /// [`weighted_square_sum`](Exec::weighted_square_sum) →
+    /// `matmul_transb(w)` → `add_bcast(b)` → `add` →
+    /// [`interleave_last`](Exec::interleave_last) →
+    /// [`rows_to_nchw`](Exec::rows_to_nchw).
+    fn quadratic_conv(
+        &mut self,
+        x: Var,
+        q: Var,
+        lambda: Var,
+        w: Var,
+        b: Var,
+        spec: Conv2dSpec,
+    ) -> Var;
+
     /// Elementwise pipeline over a `[B, C, H, W]` activation: applies the
     /// [`ChainStage`]s left to right. [`EagerExec`] runs the whole chain as
     /// a **single pass** over the activation — bias + norm + activation +
@@ -392,6 +414,17 @@ impl Exec for Graph {
     fn rows_to_nchw(&mut self, v: Var, b: usize, oh: usize, ow: usize, c: usize) -> Var {
         Graph::rows_to_nchw(self, v, b, oh, ow, c)
     }
+    fn quadratic_conv(
+        &mut self,
+        x: Var,
+        q: Var,
+        lambda: Var,
+        w: Var,
+        b: Var,
+        spec: Conv2dSpec,
+    ) -> Var {
+        Graph::quadratic_conv(self, x, q, lambda, w, b, spec)
+    }
     fn elemwise_chain(&mut self, x: Var, stages: &[ChainStage<'_>]) -> Var {
         let mut v = x;
         for stage in stages {
@@ -443,9 +476,10 @@ impl Exec for Graph {
 ///   allocations** — the `alloc` bench in `qn-bench` proves this with a
 ///   counting allocator.
 /// - **Pooled scratch:** kernel workspace that is not an activation (the
-///   im2col patch matrix inside `conv2d`, per-channel `1/σ` vectors in
-///   batch norm) is drawn from — and returned to — the arena's
-///   [`BufferPool`] ([`EagerExec::with_pool`]; `new` uses the global pool).
+///   im2col patch matrix inside `conv2d` and `quadratic_conv`, the latter's
+///   stacked weight, per-channel `1/σ` vectors in batch norm) is drawn
+///   from — and returned to — the arena's [`BufferPool`]
+///   ([`EagerExec::with_pool`]; `new` uses the global pool).
 /// - **Parameter snapshots** are recycled across resets exactly as before:
 ///   `param` moves a weight tensor out of an internal cache instead of
 ///   cloning the parameter storage, and `reset` moves it back. The cache is
@@ -838,6 +872,25 @@ impl Exec for EagerExec {
 
     fn rows_to_nchw(&mut self, x: Var, b: usize, oh: usize, ow: usize, c: usize) -> Var {
         self.emit(|o, v| kernels::rows_to_nchw(o, v.get(x), b, oh, ow, c))
+    }
+
+    fn quadratic_conv(
+        &mut self,
+        x: Var,
+        q: Var,
+        lambda: Var,
+        w: Var,
+        b: Var,
+        spec: Conv2dSpec,
+    ) -> Var {
+        // patch matrix and stacked weight are pool scratch, as in conv2d
+        let pool = Arc::clone(&self.pool);
+        self.emit(|o, v| {
+            let (x, q, lambda) = (v.get(x), v.get(q), v.get(lambda));
+            kernels::quadratic_conv(o, x, q, lambda, v.get(w), v.get(b), spec, |n| {
+                BufferPool::take_ref(&pool, n)
+            });
+        })
     }
 
     fn elemwise_chain(&mut self, x: Var, stages: &[ChainStage<'_>]) -> Var {

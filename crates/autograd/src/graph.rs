@@ -17,6 +17,29 @@ pub struct Var {
 /// allocating a fresh mask tensor.
 pub(crate) type BackwardFn = Box<dyn FnOnce(Tensor) -> Vec<Tensor>>;
 
+/// Source of an op's saved-for-backward buffers (see [`Graph::scratch`]):
+/// pooled buffers carry unspecified contents and must be fully written;
+/// [`Scratch::give`] hands them back once the backward pass is done.
+#[derive(Clone)]
+pub(crate) struct Scratch(Option<Arc<BufferPool>>);
+
+impl Scratch {
+    /// A buffer of `len` elements (zeroed only when freshly allocated).
+    pub(crate) fn take(&self, len: usize) -> Vec<f32> {
+        match &self.0 {
+            Some(pool) => pool.take_f32(len),
+            None => vec![0.0; len],
+        }
+    }
+
+    /// Returns a spent buffer to the pool (a no-op without one).
+    pub(crate) fn give(&self, buf: Vec<f32>) {
+        if let Some(pool) = &self.0 {
+            pool.give_f32(buf);
+        }
+    }
+}
+
 pub(crate) struct Node {
     /// Forward value. `None` once reclaimed into the attached buffer pool
     /// (only ever happens for ops pushed as *ephemeral*, during a pooled
@@ -122,6 +145,12 @@ impl Graph {
                 g.into_pool(pool);
             }
         }
+    }
+
+    /// Where an op draws the buffers its backward closure owns: the
+    /// attached pool, or plain allocation when there is none.
+    pub(crate) fn scratch(&self) -> Scratch {
+        Scratch(self.pool.clone())
     }
 
     /// Whether stochastic/normalization layers should use training behaviour.

@@ -269,12 +269,9 @@ pub(crate) fn im2col(out: &mut Tensor, x: &Tensor, spec: Conv2dSpec) {
 }
 
 /// 2-D convolution of `[B, C, H, W]` with filters `[OC, C, K, K]` into
-/// `[B, OC, OH, OW]`. Per sample, the output plane block `[OC, OH·OW]` is
-/// `W [OC, n] @ colsᵀ [n, OH·OW]`, the im2col transpose a stride swap —
-/// each output element sums over `n` in the same order as the row-major
-/// `cols @ Wᵀ` product, written straight into NCHW. The patch matrix
-/// lives in scratch from `cols(len)` (pool-recycled on the eager path,
-/// kept for the backward pass on the tape), which is returned.
+/// `[B, OC, OH, OW]` — see [`lowered_conv`]. The patch matrix lives in
+/// scratch from `cols(len)` (pool-recycled on the eager path, kept for the
+/// backward pass on the tape), which is returned.
 pub(crate) fn conv2d<C: DerefMut<Target = [f32]>>(
     out: &mut Tensor,
     x: &Tensor,
@@ -282,28 +279,129 @@ pub(crate) fn conv2d<C: DerefMut<Target = [f32]>>(
     spec: Conv2dSpec,
     cols: impl FnOnce(usize) -> C,
 ) -> C {
-    let (b, c, h, w) = x.dims4();
+    let (_, c, _, _) = x.dims4();
     let (oc, wc, kh, kw) = weight.dims4();
     assert_eq!(c, wc, "conv2d channel mismatch: input {c}, weight {wc}");
     assert_eq!(kh, spec.kernel, "conv2d kernel mismatch");
     assert_eq!(kw, spec.kernel, "conv2d kernel mismatch");
+    lowered_conv(out, x, weight.data(), oc, spec, cols)
+}
+
+/// The im2col product behind every convolution: `x` lowered to patch rows
+/// in scratch from `cols(len)` (returned), then per sample the output
+/// plane block `[OC, OH·OW]` is `W [OC, n] @ colsᵀ [n, OH·OW]`, the im2col
+/// transpose a stride swap. Each output element sums over `n` in the same
+/// order as the row-major `cols @ Wᵀ` product, written straight into NCHW.
+/// `wrows` is the row-major `[OC, n]` filter matrix.
+fn lowered_conv<C: DerefMut<Target = [f32]>>(
+    out: &mut Tensor,
+    x: &Tensor,
+    wrows: &[f32],
+    oc: usize,
+    spec: Conv2dSpec,
+    cols: impl FnOnce(usize) -> C,
+) -> C {
+    let (b, c, h, w) = x.dims4();
     let (oh, ow) = spec.output_hw(h, w);
-    let n = c * kh * kw;
+    let n = spec.patch_len(c);
     let hw = oh * ow;
     let mut cols = cols(b * hw * n);
     im2col_into(&mut cols, x, spec);
     out.refit(&[b, oc, oh, ow]);
-    let (wdata, cd) = (weight.data(), &*cols); // weight is [OC, n] row-major
+    let cd = &*cols;
     gemm_batched(
         out.data_mut(),
         b,
         oc,
         hw,
         n,
-        |_| MatRef::new(wdata, oc, n),
+        |_| MatRef::new(wrows, oc, n),
         |bi| MatRef::new(&cd[bi * hw * n..(bi + 1) * hw * n], hw, n).transpose(),
     );
     cols
+}
+
+/// Output positions per epilogue block of [`quadratic_conv`] (the
+/// quadratic-energy accumulators live on the stack).
+const QUAD_BLOCK: usize = 64;
+
+/// The paper's efficient quadratic neuron as a convolution: `m` neurons of
+/// rank `k` over the patch rows of `x` (`[B, C, H, W]`), producing
+/// `[B, m·(k+1), OH, OW]` with channel `j·(k+1)` holding neuron `j`'s
+/// `y = (x·w + b) + Σᵢ (f·f)·λ` and the next `k` channels its features
+/// `f = Qᵀx`. `q` is `[m·k, n]`, `lambda` `[m, k]`, `w` `[m, n]`, `b`
+/// `[m]`.
+///
+/// One GEMM over the per-neuron interleaved stack `[w_j; Q_j]`
+/// (`m·(k+1)` rows, built into scratch per call) writes `x·w` and `f` to
+/// NCHW exactly as [`conv2d`] does, then one epilogue pass rewrites each
+/// `y` plane with the bias and the Λ-weighted square sum. Stacking rows
+/// never changes an output element's `n`-order, and the epilogue uses
+/// `weighted_square_sum`'s expressions in its order (lane-wise over
+/// positions, no reassociation, in both kernel profiles), so the result
+/// equals the im2col → dense → `rows_to_nchw` decomposition bit for bit
+/// under `exact`. Returns the scratch `(patch matrix, stack)` drawn from
+/// `scratch(len)`.
+///
+/// # Panics
+///
+/// Panics if `m` or `k` is 0, or the factor shapes disagree with each other
+/// or with the patch length.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn quadratic_conv<S: DerefMut<Target = [f32]>>(
+    out: &mut Tensor,
+    x: &Tensor,
+    q: &Tensor,
+    lambda: &Tensor,
+    w: &Tensor,
+    b: &Tensor,
+    spec: Conv2dSpec,
+    mut scratch: impl FnMut(usize) -> S,
+) -> (S, S) {
+    let (_, c, _, _) = x.dims4();
+    let n = spec.patch_len(c);
+    let (m, k) = lambda.dims2();
+    assert!(
+        m > 0 && k > 0,
+        "quadratic_conv needs m, k >= 1, got {m}, {k}"
+    );
+    assert_eq!(q.dims2(), (m * k, n), "quadratic_conv q must be [m·k, n]");
+    assert_eq!(w.dims2(), (m, n), "quadratic_conv w must be [m, n]");
+    assert_eq!(b.numel(), m, "quadratic_conv b must hold m values");
+    let (qd, wd) = (q.data(), w.data());
+    let mut stack = scratch(m * (k + 1) * n);
+    for (j, rows) in stack.chunks_mut((k + 1) * n).enumerate() {
+        rows[..n].copy_from_slice(&wd[j * n..(j + 1) * n]);
+        rows[n..].copy_from_slice(&qd[j * k * n..(j + 1) * k * n]);
+    }
+    let cols = lowered_conv(out, x, &stack, m * (k + 1), spec, &mut scratch);
+    let hw = out.shape().dim(2) * out.shape().dim(3);
+    let (ld, bd) = (lambda.data(), b.data());
+    qn_parallel::par_chunks_mut_min(
+        out.data_mut(),
+        ((k + 1) * hw).max(1),
+        PAR_MIN_ELEMS,
+        |plane, group| {
+            let j = plane % m;
+            let (y, f) = group.split_at_mut(hw);
+            let lam = &ld[j * k..(j + 1) * k];
+            for p0 in (0..hw).step_by(QUAD_BLOCK) {
+                let len = QUAD_BLOCK.min(hw - p0);
+                let mut acc = [0.0f32; QUAD_BLOCK];
+                let acc = &mut acc[..len];
+                for (i, &l) in lam.iter().enumerate() {
+                    let fi = &f[i * hw + p0..i * hw + p0 + len];
+                    for (a, &v) in acc.iter_mut().zip(fi) {
+                        *a += v * v * l;
+                    }
+                }
+                for (o, &a) in y[p0..p0 + len].iter_mut().zip(acc.iter()) {
+                    *o = (*o + bd[j]) + a;
+                }
+            }
+        },
+    );
+    (cols, stack)
 }
 
 /// Max pooling; fills `argmax` (resized to the output length) with each

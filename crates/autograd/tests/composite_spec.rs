@@ -1,14 +1,17 @@
 //! Executable specification of the single-node composite ops.
 //!
-//! `conv2d`, `weighted_square_sum`, `interleave_last`, `rows_to_nchw` and
-//! `global_avg_pool` each record **one** tape node computed by one fused
-//! kernel. Their definition is the chain of primitive tape ops kept here
-//! as the reference:
+//! `conv2d`, `quadratic_conv`, `weighted_square_sum`, `interleave_last`,
+//! `rows_to_nchw` and `global_avg_pool` each record **one** tape node
+//! computed by one fused kernel. Their definition is the chain of tape ops
+//! kept here as the reference:
 //!
 //! - `weighted_square_sum`: reshape → square → `mul_bcast` → `sum_axis`
 //! - `interleave_last`: reshape → concat → reshape
 //! - `rows_to_nchw`: reshape → permute
 //! - `conv2d`: im2col → `matmul_transb` → reshape → permute
+//! - `quadratic_conv`: im2col → `matmul_transb(q)` → `weighted_square_sum`
+//!   → `matmul_transb(w)` → `add_bcast(b)` → `add` → `interleave_last` →
+//!   `rows_to_nchw` (the efficient neuron's dense layer on patch rows)
 //! - `global_avg_pool`: `avg_pool2d` → reshape
 //!
 //! Under the `exact` kernel profile (forced here, so the suite means the
@@ -151,6 +154,18 @@ proptest! {
     }
 
     #[test]
+    fn quadratic_conv_is_the_dense_neuron_on_patch_rows(
+        b in 1usize..3, c in 1usize..4, res in 3usize..8, kernel in 1usize..4,
+        stride in 1usize..3, padding in 0usize..2, m in 1usize..4, kpick in 0usize..1000,
+        seed in 0u64..1000,
+    ) {
+        let spec = Conv2dSpec::new(kernel, stride, padding);
+        let n = spec.patch_len(c);
+        let k = 1 + kpick % n; // k in 1..=n
+        assert_quadratic_conv_spec(b, c, res, spec, m, k, seed)?;
+    }
+
+    #[test]
     fn global_avg_pool_is_avg_pool_reshape(
         b in 1usize..4, c in 1usize..5, res in 1usize..7, seed in 0u64..1000,
     ) {
@@ -164,6 +179,59 @@ proptest! {
                 g.reshape(pooled, &[b, c])
             },
         )?;
+    }
+}
+
+/// Checks `quadratic_conv` against its decomposition on random factors.
+fn assert_quadratic_conv_spec(
+    b: usize,
+    c: usize,
+    res: usize,
+    spec: Conv2dSpec,
+    m: usize,
+    k: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = Rng::seed_from(seed);
+    let n = spec.patch_len(c);
+    let x = Tensor::randn(&[b, c, res, res], &mut rng);
+    let q = Tensor::randn(&[m * k, n], &mut rng);
+    let lambda = Tensor::randn(&[m, k], &mut rng);
+    let w = Tensor::randn(&[m, n], &mut rng);
+    let bias = Tensor::randn(&[m], &mut rng);
+    let (oh, ow) = spec.output_hw(res, res);
+    assert_spec(
+        &[&x, &q, &lambda, &w, &bias],
+        seed,
+        |g, v| g.quadratic_conv(v[0], v[1], v[2], v[3], v[4], spec),
+        |g, v| {
+            let cols = g.im2col(v[0], spec);
+            let f = g.matmul_transb(cols, v[1]);
+            let y2 = g.weighted_square_sum(f, v[2], m, k);
+            let xw = g.matmul_transb(cols, v[3]);
+            let y1 = g.add_bcast(xw, v[4]);
+            let y = g.add(y1, y2);
+            let out = g.interleave_last(y, f, k);
+            g.rows_to_nchw(out, b, oh, ow, m * (k + 1))
+        },
+    )
+}
+
+/// The quadratic conv at every stride × padding corner, at shapes large
+/// enough for the packed GEMM path and with `k = n` (full rank).
+#[test]
+fn quadratic_conv_matches_reference_at_every_stride_and_padding() {
+    for stride in [1, 2] {
+        for padding in [0, 1] {
+            let spec = Conv2dSpec::new(3, stride, padding);
+            for (m, k) in [(3, 4), (2, 18)] {
+                let result = assert_quadratic_conv_spec(2, 2, 9, spec, m, k, 11);
+                assert!(
+                    result.is_ok(),
+                    "stride {stride} padding {padding} m {m} k {k}: {result:?}"
+                );
+            }
+        }
     }
 }
 

@@ -3,7 +3,7 @@ use crate::LAMBDA_PARAM_NAME;
 use qn_autograd::{Exec, Parameter, Var};
 use qn_linalg::random_orthonormal;
 use qn_nn::{kaiming_normal, Costs, Module, ParamVisitor};
-use qn_tensor::{Rng, Tensor};
+use qn_tensor::{Conv2dSpec, Rng, Tensor};
 
 /// The paper's efficient quadratic neuron, as a dense layer of `m` neurons
 /// over `n` inputs with decomposition rank `k`.
@@ -182,6 +182,19 @@ impl EfficientQuadraticLinear {
         out
     }
 
+    /// The vectorized layer deployed as a convolution over the patches of
+    /// `x` (`[B, C, H, W]`, `n = spec.patch_len(C)`): one
+    /// [`Exec::quadratic_conv`] over the layer's factors, producing
+    /// `[B, m·(k+1), OH, OW]`.
+    pub(super) fn conv_forward(&self, g: &mut dyn Exec, x: Var, spec: Conv2dSpec) -> Var {
+        debug_assert!(self.vectorized, "the fused conv emits the f features");
+        let q = g.param(&self.q);
+        let lambda = g.param(&self.lambda);
+        let w = g.param(&self.w);
+        let b = g.param(&self.b);
+        g.quadratic_conv(x, q, lambda, w, b, spec)
+    }
+
     /// Splits the forward computation so subclasses of behaviour (scalar vs
     /// vectorized) share the quadratic evaluation. Returns `(y, f)` with
     /// `f` kept flat as `[B, m·k]`.
@@ -244,14 +257,17 @@ impl Module for EfficientQuadraticLinear {
     }
 
     fn costs(&self, input: &[usize]) -> Costs {
-        assert_eq!(input.len(), 2, "dense layer expects [B, n]");
-        let batch = input[0] as u64;
+        // leading dims flatten, as in forward
+        let (_, lead) = input.split_last().expect("non-empty input shape");
+        let rows = lead.iter().product::<usize>() as u64;
         let per_neuron = NeuronFamily::EfficientQuadratic
             .complexity(self.n as u64, self.k as u64)
             .macs;
+        let mut output = input.to_vec();
+        *output.last_mut().expect("non-empty") = self.out_features();
         Costs {
-            macs: batch * self.m as u64 * per_neuron,
-            output: vec![input[0], self.out_features()],
+            macs: rows * self.m as u64 * per_neuron,
+            output,
         }
     }
 
@@ -430,6 +446,20 @@ mod tests {
         assert_eq!(c.output, vec![b, m * (k + 1)]);
         // params: (k+1)n + k per neuron, plus m biases (excluded by paper)
         assert_eq!(layer.param_count(), m * ((k + 1) * n + k) + m);
+    }
+
+    #[test]
+    fn costs_flatten_leading_dims() {
+        // the transformer feeds [B, T, D] into quadratic projections
+        let mut rng = Rng::seed_from(9);
+        let layer = EfficientQuadraticLinear::new(6, 2, 3, &mut rng);
+        let c = layer.costs(&[2, 5, 6]);
+        assert_eq!(c.macs, layer.costs(&[10, 6]).macs);
+        assert_eq!(c.output, vec![2, 5, 8]);
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::randn(&[2, 5, 6], &mut rng));
+        let y = layer.forward(&mut g, x);
+        assert_eq!(g.value(y).shape().dims(), c.output.as_slice());
     }
 
     #[test]

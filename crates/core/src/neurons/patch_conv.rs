@@ -2,6 +2,7 @@ use super::EfficientQuadraticLinear;
 use qn_autograd::{Exec, Var};
 use qn_nn::{Costs, Module, ParamVisitor};
 use qn_tensor::{Conv2dSpec, Rng};
+use std::any::Any;
 
 /// Deploys any dense neuron layer as a 2-D convolution by im2col lowering —
 /// the paper's Fig. 3 deployment: each receptive-field patch becomes the
@@ -10,6 +11,11 @@ use qn_tensor::{Conv2dSpec, Rng};
 /// For the proposed neuron the `k + 1` outputs of each filter land on the
 /// channel dimension, so a layer with `m` filters produces `m·(k+1)`
 /// channels.
+///
+/// The forward pass lowers `x` to patch rows with `im2col`, runs the dense
+/// layer on them and reorders the rows to NCHW (`rows_to_nchw`) — except
+/// for the vectorized [`EfficientQuadraticLinear`], which runs as one fused
+/// [`Exec::quadratic_conv`] (see [`EfficientQuadraticConv2d`]).
 ///
 /// # Example
 ///
@@ -73,7 +79,7 @@ impl<L: Module> PatchConv2d<L> {
     }
 }
 
-impl<L: Module> Module for PatchConv2d<L> {
+impl<L: Module + 'static> Module for PatchConv2d<L> {
     fn forward(&self, g: &mut dyn Exec, x: Var) -> Var {
         let (b, c, h, w) = g.value(x).dims4();
         assert_eq!(
@@ -81,6 +87,12 @@ impl<L: Module> Module for PatchConv2d<L> {
             "expected {} channels, got {c}",
             self.in_channels
         );
+        // the vectorized efficient neuron runs as one fused op
+        if let Some(quad) = (&self.inner as &dyn Any).downcast_ref::<EfficientQuadraticLinear>() {
+            if quad.is_vectorized() {
+                return quad.conv_forward(g, x, self.spec);
+            }
+        }
         let (oh, ow) = self.spec.output_hw(h, w);
         let cols = g.im2col(x, self.spec); // [B*OH*OW, n]
         let y = self.inner.forward(g, cols); // [B*OH*OW, out]
@@ -118,6 +130,13 @@ impl<L: Module> Module for PatchConv2d<L> {
 }
 
 /// The proposed quadratic neuron in convolutional form.
+///
+/// With vectorized output (the default) the forward pass is one
+/// [`Exec::quadratic_conv`]: im2col, one GEMM over the stacked per-neuron
+/// `[w_j; Q_j]` rows writing NCHW, and one epilogue adding the bias and the
+/// Λ-weighted square sum — one tape node, bit-identical under `exact` to
+/// the im2col → dense → `rows_to_nchw` path the scalar-output ablation
+/// keeps. Parameter names (`q`, `lambda`, `w`, `b`) are unchanged.
 pub type EfficientQuadraticConv2d = PatchConv2d<EfficientQuadraticLinear>;
 
 impl EfficientQuadraticConv2d {

@@ -171,14 +171,17 @@ impl Module for QuantizedQuadratic {
     }
 
     fn costs(&self, input: &[usize]) -> Costs {
-        assert_eq!(input.len(), 2, "dense layer expects [B, n]");
-        let batch = input[0] as u64;
+        // leading dims flatten, as in forward
+        let (_, lead) = input.split_last().expect("non-empty input shape");
+        let rows = lead.iter().product::<usize>() as u64;
         let per_neuron = NeuronFamily::EfficientQuadratic
             .complexity(self.n as u64, self.k as u64)
             .macs;
+        let mut output = input.to_vec();
+        *output.last_mut().expect("non-empty") = self.out_features();
         Costs {
-            macs: batch * self.m as u64 * per_neuron,
-            output: vec![input[0], self.out_features()],
+            macs: rows * self.m as u64 * per_neuron,
+            output,
         }
     }
 
@@ -350,6 +353,20 @@ mod tests {
         let q = layer.quantized().unwrap();
         assert_eq!(layer.costs(&[7, 10]).macs, q.costs(&[7, 10]).macs);
         assert_eq!(layer.costs(&[7, 10]).output, q.costs(&[7, 10]).output);
+    }
+
+    #[test]
+    fn costs_flatten_leading_dims() {
+        let mut rng = Rng::seed_from(9);
+        let layer = EfficientQuadraticLinear::new(6, 2, 3, &mut rng);
+        let q = layer.quantized().unwrap();
+        let c = q.costs(&[2, 5, 6]);
+        assert_eq!(c.macs, layer.costs(&[10, 6]).macs);
+        assert_eq!(c.output, vec![2, 5, 8]);
+        let mut e = EagerExec::new();
+        let x = e.leaf(Tensor::randn(&[2, 5, 6], &mut rng));
+        let y = q.forward(&mut e, x);
+        assert_eq!(e.value(y).shape().dims(), c.output.as_slice());
     }
 
     #[test]

@@ -214,4 +214,10 @@ fn tape_records_one_node_per_eager_value() {
         layer.forward(&mut e, xe);
         assert_eq!(g.len(), e.len(), "tape nodes vs eager values");
     }
+    // the quadratic conv is one `quadratic_conv` node over its input and
+    // four parameter leaves (q, λ, w, b)
+    let mut g = Graph::new();
+    let xv = g.leaf(image.clone());
+    quad_conv.forward(&mut g, xv);
+    assert_eq!(g.len(), 1 + 4 + 1, "quadratic conv tape nodes");
 }

@@ -13,8 +13,12 @@
 //!
 //! Differences from real proptest: no shrinking (the failing input is
 //! printed instead, so generated values must be `Clone + Debug`), and case
-//! generation is seeded from the test's module path so runs are
-//! reproducible without a persistence file.
+//! generation is seeded from the test's module path, mixed with the
+//! `QN_PROPTEST_SEED` environment variable (a `u64`) when it is set. Unset,
+//! every run replays the same cases without a persistence file; set to a
+//! fresh value (CI passes its run id), a run explores new cases. A failure
+//! prints the effective seed and the `QN_PROPTEST_SEED` value that
+//! replays it.
 
 // `proptest!`'s surface syntax requires `#[test]` on each property, so the
 // macro's doc example necessarily contains one; the example drives the
@@ -140,25 +144,56 @@ pub mod test_runner {
         }
     }
 
+    /// Environment variable whose `u64` value is mixed into every
+    /// property's seed.
+    pub const SEED_VAR: &str = "QN_PROPTEST_SEED";
+
     /// Drives the case loop for one property: owns the config and the
     /// deterministic per-test RNG.
     pub struct TestRunner {
         config: ProptestConfig,
         rng: StdRng,
+        seed: u64,
+        run_seed: Option<u64>,
     }
 
     impl TestRunner {
-        /// Seeds the RNG from the test's fully qualified name so each
-        /// property gets an independent, reproducible stream.
+        /// Seeds the RNG from the test's fully qualified name, mixed with
+        /// `QN_PROPTEST_SEED` when set, so each property gets an
+        /// independent stream that is reproducible from those two inputs.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `QN_PROPTEST_SEED` is set but is not a `u64`.
         pub fn new(config: ProptestConfig, test_name: &str) -> Self {
+            let run_seed = std::env::var(SEED_VAR).ok().map(|v| {
+                v.trim()
+                    .parse::<u64>()
+                    .unwrap_or_else(|_| panic!("{SEED_VAR} must be a u64, got {v:?}"))
+            });
+            TestRunner::with_run_seed(config, test_name, run_seed)
+        }
+
+        /// [`TestRunner::new`] with the `QN_PROPTEST_SEED` value passed in:
+        /// `None` seeds from the test name alone.
+        pub fn with_run_seed(
+            config: ProptestConfig,
+            test_name: &str,
+            run_seed: Option<u64>,
+        ) -> Self {
             let mut seed = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
             for b in test_name.bytes() {
                 seed ^= b as u64;
                 seed = seed.wrapping_mul(0x0000_0100_0000_01B3);
             }
+            if let Some(run) = run_seed {
+                seed = splitmix64(seed ^ splitmix64(run));
+            }
             TestRunner {
                 config,
                 rng: StdRng::seed_from_u64(seed),
+                seed,
+                run_seed,
             }
         }
 
@@ -169,6 +204,27 @@ pub mod test_runner {
         pub fn rng(&mut self) -> &mut StdRng {
             &mut self.rng
         }
+
+        /// The effective seed of this property's case stream.
+        pub fn seed(&self) -> u64 {
+            self.seed
+        }
+
+        /// How to replay this runner's cases, for failure messages.
+        pub fn replay_hint(&self) -> String {
+            match self.run_seed {
+                Some(run) => format!("seed {:#018x}; replay with {SEED_VAR}={run}", self.seed),
+                None => format!("seed {:#018x}; replay with {SEED_VAR} unset", self.seed),
+            }
+        }
+    }
+
+    /// SplitMix64 finalizer: spreads a run seed over all 64 bits.
+    fn splitmix64(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 }
 
@@ -243,12 +299,13 @@ macro_rules! __proptest_items {
                         "\n    {} = {:?}", stringify!($arg), &$arg
                     ));)+
                     panic!(
-                        "proptest case {}/{} of `{}` failed: {}\n  inputs:{}",
+                        "proptest case {}/{} of `{}` failed: {}\n  inputs:{}\n  {}",
                         case + 1,
                         total,
                         stringify!($name),
                         err,
                         inputs,
+                        runner.replay_hint(),
                     );
                 }
             }
@@ -336,6 +393,47 @@ mod tests {
         fn default_config_runs(x in 0u64..1000) {
             prop_assert!(x < 1000);
         }
+    }
+
+    #[test]
+    fn run_seed_mixes_into_the_case_stream() {
+        use crate::test_runner::TestRunner;
+        use rand::Rng as _;
+        let draws = |run_seed: Option<u64>| {
+            let mut r = TestRunner::with_run_seed(ProptestConfig::default(), "a::b", run_seed);
+            (
+                r.seed(),
+                (0..4).map(|_| r.rng().gen::<u64>()).collect::<Vec<_>>(),
+            )
+        };
+        // unset keeps the module-path seed (FNV-1a of the name)
+        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+        for b in "a::b".bytes() {
+            fnv = (fnv ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        assert_eq!(draws(None).0, fnv);
+        // a run seed changes the stream, reproducibly
+        assert_ne!(draws(Some(1)), draws(None));
+        assert_ne!(draws(Some(1)), draws(Some(2)));
+        assert_eq!(draws(Some(7)), draws(Some(7)));
+        let hint =
+            TestRunner::with_run_seed(ProptestConfig::default(), "a::b", Some(7)).replay_hint();
+        assert!(hint.contains("QN_PROPTEST_SEED=7"), "{hint}");
+    }
+
+    #[test]
+    #[should_panic(expected = "replay with QN_PROPTEST_SEED")]
+    #[allow(unnameable_test_items)]
+    fn failure_message_names_the_seed() {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1))]
+
+            #[test]
+            fn always_fails(x in 0u64..10) {
+                prop_assert!(x > 100);
+            }
+        }
+        always_fails();
     }
 
     #[test]

@@ -64,7 +64,13 @@ fn op_gauntlet(cx: &mut dyn Exec, x4: &Tensor, w4: &Tensor, res3: &Tensor) -> Ve
     let ln = cx.layer_norm(flat, gamma, beta, 1e-5);
     let emb_w = cx.leaf(Tensor::from_fn(&[5, 3], |i| (i as f32).sin()));
     let emb = cx.embedding(emb_w, &[4, 0, 2]);
-    [act, sm, red, tot, ln, emb]
+    // the efficient quadratic conv: 2 neurons of rank 3 over 3×3×3 patches
+    let q = cx.leaf(Tensor::from_fn(&[6, 27], |i| (i as f32 * 0.37).sin()));
+    let lambda = cx.leaf(Tensor::from_fn(&[2, 3], |i| i as f32 * 0.1 - 0.2));
+    let wq = cx.leaf(Tensor::from_fn(&[2, 27], |i| (i as f32 * 0.11).cos()));
+    let bq = cx.leaf(Tensor::from_fn(&[2], |i| i as f32 * 0.5));
+    let quad = cx.quadratic_conv(x, q, lambda, wq, bq, Conv2dSpec::new(3, 2, 1));
+    [act, sm, red, tot, ln, emb, quad]
         .into_iter()
         .map(|v| cx.value(v).clone())
         .collect()
