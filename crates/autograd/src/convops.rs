@@ -80,12 +80,16 @@ impl Graph {
     /// same expressions in the same order, so gradients equal it bit for
     /// bit under `exact`:
     ///
-    /// - `g_y` and `g_f`: the output gradient de-interleaved into rows;
-    /// - `db = Σ g_y` and `dλ = Σ g_y·(f·f)`, rows ascending;
-    /// - `gf = g_f + ((g_y·λ)·f)·2`;
-    /// - `dw = g_yᵀ·cols` and `dq = gfᵀ·cols`;
-    /// - `dcols = g_y·w + gf·q` as two GEMMs then one add (a single GEMM
-    ///   over the stack would reassociate it), then `col2im`.
+    /// - one per-image parallel pass writes the grouped gradient rows
+    ///   `[g_y | gf]` (`[B·OH·OW, m + m·k]`): `g_y` de-interleaved from the
+    ///   output gradient, then `gf = g_f + ((g_y·λ)·f)·2`;
+    /// - `db = Σ g_y` and `dλ = Σ g_y·(f·f)`, split over column bands, each
+    ///   column summed rows ascending;
+    /// - `[dw; dq] = [g_y | gf]ᵀ·cols` as one GEMM, so the patch matrix is
+    ///   packed once (stacking output rows never changes their `k`-order);
+    /// - `dcols = g_y·w + gf·q` as two GEMMs over strided views of the
+    ///   grouped rows, then one add (a single GEMM over the stack would
+    ///   reassociate it), then `col2im`.
     ///
     /// # Panics
     ///
@@ -136,65 +140,72 @@ impl Graph {
             vec![x.id, q.id, lambda.id, w.id, b.id],
             Some(Box::new(move |g: Tensor| {
                 let gd = g.data();
-                // g_y [rows, m], de-interleaved from the NCHW gradient
-                let mut gy = scratch.take(rows * m);
-                for bi in 0..bn {
-                    for j in 0..m {
-                        let plane = &gd[(bi * ch + j * (k + 1)) * hw..][..hw];
-                        for (p, &v) in plane.iter().enumerate() {
-                            gy[(bi * hw + p) * m + j] = v;
-                        }
-                    }
-                }
-                // gf = g_f + ((g_y·λ)·f)·2: interleave's share, then the
-                // weighted square sum's
-                let mut gf = scratch.take(rows * mk);
+                // grouped gradient rows [g_y | gf] ([rows, m + m·k]): g_y
+                // de-interleaved from the NCHW gradient, then gf = g_f +
+                // ((g_y·λ)·f)·2, interleave's share plus the weighted square
+                // sum's
+                let gw = m + mk;
+                let mut gr = scratch.take(rows * gw);
                 qn_parallel::par_chunks_mut_min(
-                    &mut gf,
-                    (hw * mk).max(1),
+                    &mut gr,
+                    (hw * gw).max(1),
                     PAR_MIN_ELEMS,
                     |bi, grows| {
+                        for j in 0..m {
+                            let plane = &gd[(bi * ch + j * (k + 1)) * hw..][..hw];
+                            for (p, &v) in plane.iter().enumerate() {
+                                grows[p * gw + j] = v;
+                            }
+                        }
                         for t in 0..mk {
                             let plane = &gd[(bi * ch + fchan(t)) * hw..][..hw];
                             for (p, &gv) in plane.iter().enumerate() {
-                                let r = bi * hw + p;
-                                grows[p * mk + t] =
-                                    gv + gy[r * m + t / k] * lam[t] * f[r * mk + t] * 2.0;
+                                let gy = grows[p * gw + t / k];
+                                grows[p * gw + m + t] =
+                                    gv + gy * lam[t] * f[(bi * hw + p) * mk + t] * 2.0;
                             }
                         }
                     },
                 );
-                // db = Σ g_y and dλ = Σ g_y·(f·f), rows ascending
-                let mut db = vec![0.0f32; m];
-                let mut dlam = vec![0.0f32; mk];
-                for (grow, frow) in gy.chunks(m).zip(f.chunks(mk)) {
-                    for (o, &v) in db.iter_mut().zip(grow) {
-                        *o += v;
+                // [db | dλ]: db = Σ g_y and dλ = Σ g_y·(f·f), split over
+                // column bands, each column summed rows ascending
+                let mut red = vec![0.0f32; gw];
+                let band = if rows * gw >= PAR_MIN_ELEMS {
+                    gw.div_ceil(qn_parallel::num_threads())
+                } else {
+                    gw
+                };
+                qn_parallel::par_chunks_mut(&mut red, band, |bi, sums| {
+                    let c0 = bi * band;
+                    for (grow, frow) in gr.chunks(gw).zip(f.chunks(mk)) {
+                        for (c, o) in (c0..).zip(sums.iter_mut()) {
+                            *o += if c < m {
+                                grow[c]
+                            } else {
+                                let (t, v) = (c - m, frow[c - m]);
+                                grow[t / k] * (v * v)
+                            };
+                        }
                     }
-                    for (t, o) in dlam.iter_mut().enumerate() {
-                        let v = frow[t];
-                        *o += grow[t / k] * (v * v);
-                    }
-                }
-                let colsm = MatRef::new(&cols, rows, n);
-                let mut dw = vec![0.0f32; m * n];
+                });
+                let dlam = red.split_off(m);
+                let db = red;
+                // [dw; dq] = [g_y | gf]ᵀ · cols in one GEMM
+                let mut dwq = vec![0.0f32; gw * n];
                 gemm(
-                    MatMut::new(&mut dw, m, n),
-                    MatRef::new(&gy, rows, m).transpose(),
-                    colsm,
+                    MatMut::new(&mut dwq, gw, n),
+                    MatRef::new(&gr, rows, gw).transpose(),
+                    MatRef::new(&cols, rows, n),
                 );
-                let mut dq = vec![0.0f32; mk * n];
-                gemm(
-                    MatMut::new(&mut dq, mk, n),
-                    MatRef::new(&gf, rows, mk).transpose(),
-                    colsm,
-                );
-                // dcols = g_y·w + gf·q; w is a strided view of the stack,
-                // q is de-interleaved out of it
+                let dq = dwq.split_off(m * n);
+                let dw = dwq;
+                // dcols = g_y·w + gf·q; g_y and gf are strided views of the
+                // grouped rows, w a strided view of the stack, q is
+                // de-interleaved out of it
                 let mut dcols = scratch.take(rows * n);
                 gemm(
                     MatMut::new(&mut dcols, rows, n),
-                    MatRef::new(&gy, rows, m),
+                    MatRef::with_strides(&gr, rows, m, gw, 1),
                     MatRef::with_strides(&stack, m, n, (k + 1) * n, 1),
                 );
                 let mut qrows = scratch.take(mk * n);
@@ -204,13 +215,13 @@ impl Graph {
                 let mut gfq = scratch.take(rows * n);
                 gemm(
                     MatMut::new(&mut gfq, rows, n),
-                    MatRef::new(&gf, rows, mk),
+                    MatRef::with_strides(&gr[m..], rows, mk, gw, 1),
                     MatRef::new(&qrows, mk, n),
                 );
                 elemwise::zip_assign(&mut dcols, &gfq, |a, b| a + b);
                 let dcols = Tensor::from_vec(dcols, &[rows, n]).expect("patch shape consistent");
                 let dx = col2im(&dcols, spec, dims);
-                for buf in [cols, stack, f, gy, gf, qrows, gfq, dcols.into_vec()] {
+                for buf in [cols, stack, f, gr, qrows, gfq, dcols.into_vec()] {
                     scratch.give(buf);
                 }
                 let grad = |data: Vec<f32>, dims: &[usize]| {

@@ -235,6 +235,31 @@ fn quadratic_conv_matches_reference_at_every_stride_and_padding() {
     }
 }
 
+/// The benchmark model's own quadratic convs (CIFAR ResNet-20, base width
+/// 8, rank 9, 16×16 input), batch 2: `(in channels, neurons, input side,
+/// stride)` for the stem, each stage's first conv and the stage's repeated
+/// conv. The `m = 1` layers have fewer neurons than the GEMM's register
+/// block, the case the stacked `[dw; dq]` product exists for.
+#[test]
+fn quadratic_conv_matches_reference_at_the_benchmark_model_shapes() {
+    let layers = [
+        (3, 1, 16, 1),
+        (10, 1, 16, 1),
+        (10, 2, 16, 2),
+        (20, 2, 8, 1),
+        (20, 3, 8, 2),
+        (30, 3, 4, 1),
+    ];
+    for (c, m, res, stride) in layers {
+        let spec = Conv2dSpec::new(3, stride, 1);
+        let result = assert_quadratic_conv_spec(2, c, res, spec, m, 9, 13);
+        assert!(
+            result.is_ok(),
+            "c {c} m {m} {res}x{res} stride {stride}: {result:?}"
+        );
+    }
+}
+
 /// Every corner of the stride {1, 2} × padding {0, 1} grid, pinned (the
 /// property above samples it).
 #[test]

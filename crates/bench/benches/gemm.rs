@@ -1,6 +1,7 @@
 //! The packed GEMM core vs. the retained seed kernels
 //! (`qn_tensor::reference`), at the shapes the reproduction actually runs:
-//! ResNet-20 im2col products (the conv hot path, a `matmul_transb`) and
+//! ResNet-20 im2col products, the per-image conv forward `W · colsᵀ`, the
+//! quadratic conv's stacked weight gradient `[g_y | gf]ᵀ · cols`, and
 //! transformer attention products (square `matmul`s per head).
 //!
 //! For every shape the bench measures single-thread GFLOP/s of the naive
@@ -16,16 +17,44 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qn_bench::time_mean;
 use qn_tensor::{reference, Rng, Tensor};
 
-/// (label, m, k, n, lhs-of-transb?): ResNet-20/CIFAR im2col products are
-/// `[B·OH·OW, C·K²] × [OC, C·K²]ᵀ`; attention products are `[T, dh] × [dh, T]`
-/// per head.
-const SHAPES: [(&str, usize, usize, usize, bool); 6] = [
-    ("resnet20_stage1_im2col", 1024, 144, 16, true),
-    ("resnet20_stage2_im2col", 256, 288, 32, true),
-    ("resnet20_stage3_im2col", 64, 576, 64, true),
-    ("attention_scores_t64", 64, 32, 64, false),
-    ("attention_context_t64", 64, 64, 32, false),
-    ("attention_scores_t128", 128, 64, 128, false),
+/// How a product's operands are stored: `A [m, k]` or `Aᵀ [k, m]`, and
+/// `B [k, n]` or `Bᵀ [n, k]`.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// `A [m, k] · B [k, n]` (`matmul`).
+    Nn,
+    /// `A [m, k] · Bᵀ` with `B` stored `[n, k]` (`matmul_transb`).
+    Nt,
+    /// `Aᵀ · B [k, n]` with `A` stored `[k, m]` (`matmul_transa`).
+    Tn,
+}
+
+impl Layout {
+    fn name(self) -> &'static str {
+        match self {
+            Layout::Nn => "nn",
+            Layout::Nt => "nt",
+            Layout::Tn => "tn",
+        }
+    }
+}
+
+/// (label, m, k, n, layout):
+/// - ResNet-20/CIFAR im2col products `[B·OH·OW, C·K²] × [OC, C·K²]ᵀ`;
+/// - the per-image conv forward `W [OC, C·K²] · colsᵀ`, with `cols`
+///   `[OH·OW, C·K²]` (ResNet-20 width 8, stage 1, 16×16);
+/// - the quadratic conv's stacked weight gradient `[g_y | gf]ᵀ · cols`
+///   (`m = 1` neuron of rank 9 plus its 9 features, batch 32 at 16×16);
+/// - attention products `[T, dh] × [dh, T]` per head.
+const SHAPES: [(&str, usize, usize, usize, Layout); 8] = [
+    ("resnet20_stage1_im2col", 1024, 144, 16, Layout::Nt),
+    ("resnet20_stage2_im2col", 256, 288, 32, Layout::Nt),
+    ("resnet20_stage3_im2col", 64, 576, 64, Layout::Nt),
+    ("conv_forward_w_cols_t", 8, 72, 256, Layout::Nt),
+    ("quad_weight_grad", 10, 8192, 90, Layout::Tn),
+    ("attention_scores_t64", 64, 32, 64, Layout::Nn),
+    ("attention_context_t64", 64, 64, 32, Layout::Nn),
+    ("attention_scores_t128", 128, 64, 128, Layout::Nn),
 ];
 
 fn bench(c: &mut Criterion) {
@@ -37,27 +66,24 @@ fn bench(c: &mut Criterion) {
     let mut rng = Rng::seed_from(61);
 
     let mut records = Vec::new();
-    for &(label, m, k, n, transb) in &SHAPES {
-        let a = Tensor::randn(&[m, k], &mut rng);
-        // transb stores B as [N, K] (weights row-major); plain matmul as [K, N]
-        let b = if transb {
-            Tensor::randn(&[n, k], &mut rng)
-        } else {
-            Tensor::randn(&[k, n], &mut rng)
+    for &(label, m, k, n, layout) in &SHAPES {
+        let a = match layout {
+            Layout::Tn => Tensor::randn(&[k, m], &mut rng),
+            Layout::Nn | Layout::Nt => Tensor::randn(&[m, k], &mut rng),
         };
-        let packed = |a: &Tensor, b: &Tensor| {
-            if transb {
-                a.matmul_transb(b)
-            } else {
-                a.matmul(b)
-            }
+        let b = match layout {
+            Layout::Nt => Tensor::randn(&[n, k], &mut rng),
+            Layout::Nn | Layout::Tn => Tensor::randn(&[k, n], &mut rng),
         };
-        let naive = |a: &Tensor, b: &Tensor| {
-            if transb {
-                reference::matmul_transb(a, b)
-            } else {
-                reference::matmul(a, b)
-            }
+        let packed = |a: &Tensor, b: &Tensor| match layout {
+            Layout::Nn => a.matmul(b),
+            Layout::Nt => a.matmul_transb(b),
+            Layout::Tn => a.matmul_transa(b),
+        };
+        let naive = |a: &Tensor, b: &Tensor| match layout {
+            Layout::Nn => reference::matmul(a, b),
+            Layout::Nt => reference::matmul_transb(a, b),
+            Layout::Tn => reference::matmul_transa(a, b),
         };
         assert!(
             packed(&a, &b).bit_identical(&naive(&a, &b)),
@@ -106,9 +132,10 @@ fn bench(c: &mut Criterion) {
              packed {host_cpus}t {gf_nt:.2} GFLOP/s",
             simd = qn_simd::SimdLevel::active().name(),
         );
+        let layout = layout.name();
         records.push(format!(
             "    {{\n      \"shape\": \"{label}\",\n      \"m\": {m},\n      \"k\": {k},\n      \
-\"n\": {n},\n      \"transb\": {transb},\n      \"naive_gflops\": {gf_naive:.3},\n      \
+\"n\": {n},\n      \"layout\": \"{layout}\",\n      \"naive_gflops\": {gf_naive:.3},\n      \
 \"packed_1t_gflops\": {gf_1t:.3},\n      \"packed_vector_1t_gflops\": {gf_fast:.3},\n      \
 \"packed_full_pool_gflops\": {gf_nt:.3},\n      \
 \"speedup_1t_vs_naive\": {speedup:.3},\n      \

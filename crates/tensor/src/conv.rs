@@ -1,4 +1,4 @@
-use crate::{tensor::PAR_MIN_ELEMS, Shape, Tensor};
+use crate::{tensor::PAR_MIN_ELEMS, Tensor};
 
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding.
 ///
@@ -189,11 +189,6 @@ pub fn col2im(cols: &Tensor, spec: Conv2dSpec, input_dims: (usize, usize, usize,
         }
     });
     Tensor::from_vec(out, &[b, c, h, w]).expect("col2im sizes are consistent")
-}
-
-#[allow(dead_code)]
-fn shape4(b: usize, c: usize, h: usize, w: usize) -> Shape {
-    Shape::new(&[b, c, h, w])
 }
 
 #[cfg(test)]

@@ -17,6 +17,13 @@
 //!   `MR × NR` register-tiled micro-kernel with an `NR`-unrolled inner
 //!   loop. Large products are parallelized over disjoint output-row bands
 //!   on the `qn-parallel` pool.
+//! - Packing streams each operand along its contiguous axis, so it stays a
+//!   lower-order cost next to the micro-kernel: a row-major `B` (the patch
+//!   matrix of a weight gradient `gᵀ · cols`) is copied row slice by row
+//!   slice, a column-major `B` (`colsᵀ` in a conv's per-image `W · colsᵀ`)
+//!   column run by column run. Only views with neither stride 1 fall back
+//!   to the element-wise strided walk. Packing moves values and never
+//!   reorders a sum, so the layout is bit-neutral.
 //!
 //! # Determinism
 //!
@@ -409,6 +416,27 @@ impl PackedB {
     }
 }
 
+/// `true` when every value is finite. Branch-free (no early exit), so the
+/// mask pass vectorizes: it costs about as much as the copy beside it.
+#[inline(always)]
+fn all_finite(v: &[f32]) -> bool {
+    v.iter().fold(true, |all, x| all & x.is_finite())
+}
+
+/// Packs `B` into [`PackedB`] panels, streaming it along whichever axis is
+/// contiguous:
+///
+/// - **row-major** (`col_stride == 1`, e.g. the patch matrix of a weight
+///   gradient `gᵀ · cols`): each `k`-row is read once and its `NR`-wide
+///   slices are copied into the panels in turn;
+/// - **column-major** (`row_stride == 1`, e.g. `colsᵀ` in the per-image
+///   conv product `W · colsᵀ`): each panel column is read from its
+///   contiguous run, `NR` columns interleaved per `k`-row;
+/// - otherwise the element-wise strided `at()` walk.
+///
+/// Every path computes the finiteness mask in the same pass and writes the
+/// zero padding past `n` explicitly. Packing only moves values, so the
+/// layout never changes a result bit.
 fn pack_b(b: MatRef<'_>, with_mask: bool) -> PackedB {
     let (k, n) = (b.rows, b.cols);
     let panels = n.div_ceil(NR);
@@ -420,30 +448,55 @@ fn pack_b(b: MatRef<'_>, with_mask: bool) -> PackedB {
     } else {
         Vec::new()
     };
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let nr = NR.min(n - j0);
-        let pbase = jp * k * NR;
+    if b.col_stride == 1 {
         for p in 0..k {
-            let dst = &mut data[pbase + p * NR..pbase + (p + 1) * NR];
+            let src = &b.data[p * b.row_stride..p * b.row_stride + n];
             if with_mask {
-                let mut all_finite = true;
-                for (jj, d) in dst.iter_mut().take(nr).enumerate() {
-                    let v = b.at(p, j0 + jj);
-                    all_finite &= v.is_finite();
-                    *d = v;
+                finite[p] = all_finite(src);
+            }
+            let full = src.chunks_exact(NR);
+            let tail = full.remainder();
+            for (jp, chunk) in full.enumerate() {
+                data[(jp * k + p) * NR..][..NR].copy_from_slice(chunk);
+            }
+            if !tail.is_empty() {
+                let dst = &mut data[((panels - 1) * k + p) * NR..][..NR];
+                dst[..tail.len()].copy_from_slice(tail);
+                dst[tail.len()..].fill(0.0);
+            }
+        }
+    } else if b.row_stride == 1 {
+        for jp in 0..panels {
+            let j0 = jp * NR;
+            let nr = NR.min(n - j0);
+            let panel = &mut data[jp * k * NR..(jp + 1) * k * NR];
+            for jj in 0..nr {
+                let s = (j0 + jj) * b.col_stride;
+                for (dst, &v) in panel.chunks_exact_mut(NR).zip(&b.data[s..s + k]) {
+                    dst[jj] = v;
                 }
-                if !all_finite {
-                    finite[p] = false;
+            }
+            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                dst[nr..].fill(0.0);
+                if with_mask {
+                    finite[p] &= all_finite(dst);
                 }
-            } else {
-                // dense-A path: no mask wanted, skip the finiteness reduction
+            }
+        }
+    } else {
+        for jp in 0..panels {
+            let j0 = jp * NR;
+            let nr = NR.min(n - j0);
+            let panel = &mut data[jp * k * NR..(jp + 1) * k * NR];
+            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
                 for (jj, d) in dst.iter_mut().take(nr).enumerate() {
                     *d = b.at(p, j0 + jj);
                 }
+                dst[nr..].fill(0.0);
+                if with_mask {
+                    finite[p] &= all_finite(dst);
+                }
             }
-            // explicit zero padding past n: the buffer may be recycled
-            dst[nr..].fill(0.0);
         }
     }
     PackedB {

@@ -186,3 +186,121 @@ fn batch_subslice_views_match_seed() {
         assert_eq!(out.as_slice(), expect.data());
     }
 }
+
+/// Copies a strided view into a row-major tensor (the reference operand).
+fn materialize(v: MatRef<'_>) -> Tensor {
+    let (rows, cols) = (v.rows(), v.cols());
+    Tensor::from_fn(&[rows, cols], |i| v.at(i / cols, i % cols))
+}
+
+/// Lays `t` (`[rows, cols]`) into a fresh buffer as a strided view that
+/// starts `offset` elements in: row-major with row stride `cols + pad`, or
+/// column-major with column stride `rows + pad`. The gaps hold NaN, so a
+/// pack that reads outside the view poisons the result.
+fn strided_copy(
+    t: &Tensor,
+    col_major: bool,
+    offset: usize,
+    pad: usize,
+) -> (Vec<f32>, usize, usize) {
+    let (rows, cols) = t.dims2();
+    let (rs, cs) = if col_major {
+        (1, rows + pad)
+    } else {
+        (cols + pad, 1)
+    };
+    let mut buf = vec![f32::NAN; offset + rows * rs + cols * cs];
+    for i in 0..rows {
+        for j in 0..cols {
+            buf[offset + i * rs + j * cs] = t.data()[i * cols + j];
+        }
+    }
+    (buf, rs, cs)
+}
+
+/// `gemm` over strided views of `a` and `b` in the given layouts, against
+/// the seed kernel on the materialized operands.
+fn assert_layout(
+    a: &Tensor,
+    b: &Tensor,
+    a_col_major: bool,
+    b_col_major: bool,
+    offset: usize,
+    pad: usize,
+) -> Result<(), TestCaseError> {
+    let ((m, k), n) = (a.dims2(), b.dims2().1);
+    let (abuf, ars, acs) = strided_copy(a, a_col_major, offset, pad);
+    let (bbuf, brs, bcs) = strided_copy(b, b_col_major, offset, pad);
+    let av = MatRef::with_strides(&abuf[offset..], m, k, ars, acs);
+    let bv = MatRef::with_strides(&bbuf[offset..], k, n, brs, bcs);
+    prop_assert!(materialize(bv).bit_identical(b));
+    let mut out = vec![0.0f32; m * n];
+    gemm(MatMut::new(&mut out, m, n), av, bv);
+    let got = Tensor::from_vec(out, &[m, n]).expect("gemm output");
+    prop_assert!(
+        bit_identical_nan_aware(&got, &reference::matmul(a, b)),
+        "a col-major {}, b col-major {}, offset {}, pad {}",
+        a_col_major,
+        b_col_major,
+        offset,
+        pad
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The packed path over every operand layout the packs specialize:
+    /// row-major B with a row stride past `n` starting at an offset (the
+    /// `[g_y | gf]` views of the quadratic conv's backward), column-major B
+    /// with a column stride past `k` (`colsᵀ` in the conv forward), with
+    /// `n` off the panel width, zero-heavy A, and a NaN or Inf planted in B.
+    /// Every case is past the packing threshold (`m·n·k ≥ 12·9·20`).
+    #[test]
+    fn strided_layouts_match_seed(
+        m in 12usize..21, k in 20usize..33, nq in 1usize..4, nr in 1usize..8,
+        a in vals(20 * 32), b in vals(32 * 31),
+        zpct in 0u32..90, offset in 0usize..5, pad in 1usize..4,
+        poison in 0usize..3, at in 0usize..1024,
+    ) {
+        let n = 8 * nq + nr; // n % 8 != 0: the last panel is padded
+        let ta = build(&a, m, k, zpct);
+        let mut bv = b[..k * n].to_vec();
+        match poison {
+            1 => bv[at % (k * n)] = f32::NAN,
+            2 => bv[at % (k * n)] = f32::NEG_INFINITY,
+            _ => {}
+        }
+        let tb = Tensor::from_vec(bv, &[k, n]).expect("test tensor");
+        for a_col_major in [false, true] {
+            for b_col_major in [false, true] {
+                assert_layout(&ta, &tb, a_col_major, b_col_major, offset, pad)?;
+            }
+        }
+    }
+}
+
+/// Recycled pack scratch never leaks into a later product: a large GEMM
+/// whose operands are all NaN fills this thread's pack buffers with NaN,
+/// then smaller products whose last panel is padded (`n % 8 != 0`) and
+/// whose zero-heavy A engages the finiteness mask must still equal the
+/// seed kernel bit for bit, in both B layouts.
+#[test]
+fn recycled_pack_scratch_never_leaks() {
+    qn_parallel::with_max_threads(1, || {
+        let poison = Tensor::full(&[64, 96], f32::NAN);
+        let nan_b = Tensor::full(&[96, 80], f32::NAN);
+        assert!(poison.matmul(&nan_b).data().iter().all(|v| v.is_nan()));
+        let mut rng = qn_tensor::Rng::seed_from(23);
+        let a = Tensor::randn(&[12, 20], &mut rng).map(|v| if v > 0.3 { 0.0 } else { v });
+        let b = Tensor::randn(&[20, 13], &mut rng);
+        let expect = reference::matmul(&a, &b);
+        assert!(a.matmul(&b).bit_identical(&expect), "row-major B");
+        let bt = b.transpose2();
+        assert!(
+            a.matmul_transb(&bt).bit_identical(&expect),
+            "column-major B"
+        );
+    });
+}

@@ -12,8 +12,9 @@
 //! - Small/skinny products ride the strided fallback under both profiles
 //!   and must remain bit-exact even under `Fast`.
 //! - Row-band parallelism never changes bits within a profile.
+//! - Strided operand layouts (the specialized packs) keep the same bound.
 
-use qn_tensor::{reference, Rng, Tensor};
+use qn_tensor::{gemm, reference, MatMut, MatRef, Rng, Tensor};
 use std::sync::Mutex;
 
 static STATE_LOCK: Mutex<()> = Mutex::new(());
@@ -136,4 +137,59 @@ fn fast_profile_is_thread_count_invariant() {
         free.bit_identical(&capped),
         "row-band split must not change bits under Fast"
     );
+}
+
+/// The operand layouts the packs specialize, under `Fast` at every level:
+/// row-major B with a row stride past `n` starting at an offset,
+/// column-major B with a column stride past `k`, each against row-major
+/// and column-major A, with `n % 8 != 0` and an infinity planted in B next
+/// to a zero-heavy A. Finite outputs stay within the tolerance tier of the
+/// reference; non-finite ones match it exactly (NaN for NaN).
+#[test]
+fn fast_profile_strided_layouts_stay_within_tolerance() {
+    let _g = STATE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let mut rng = Rng::seed_from(45);
+    let (m, k, n) = (20, 36, 29);
+    let a = Tensor::randn(&[m, k], &mut rng).map(|v| if v > 0.5 { 0.0 } else { v });
+    let mut b = Tensor::randn(&[k, n], &mut rng);
+    b.data_mut()[7 * n + 3] = f32::INFINITY;
+    let expect = reference::matmul(&a, &b);
+    // row-major B: row stride n + 3, two elements in; the gaps hold NaN
+    let mut b_rows = vec![f32::NAN; 2 + k * (n + 3)];
+    // column-major B: column stride k + 5, one element in
+    let mut b_cols = vec![f32::NAN; 1 + n * (k + 5)];
+    for p in 0..k {
+        for j in 0..n {
+            let v = b.data()[p * n + j];
+            b_rows[2 + p * (n + 3) + j] = v;
+            b_cols[1 + j * (k + 5) + p] = v;
+        }
+    }
+    let at = a.transpose2();
+    let a_views = [a.mat(), at.mat().transpose()];
+    let b_views = [
+        MatRef::with_strides(&b_rows[2..], k, n, n + 3, 1),
+        MatRef::with_strides(&b_cols[1..], k, n, 1, k + 5),
+    ];
+    for level in qn_simd::available_levels() {
+        for (ai, &av) in a_views.iter().enumerate() {
+            for (bi, &bv) in b_views.iter().enumerate() {
+                let mut out = vec![0.0f32; m * n];
+                with_profile_level(qn_simd::KernelProfile::Fast, level, || {
+                    gemm(MatMut::new(&mut out, m, n), av, bv)
+                });
+                for (g, e) in out.iter().zip(expect.data()) {
+                    let ok = if e.is_finite() {
+                        (g - e).abs() <= 1e-4 * (1.0 + e.abs())
+                    } else {
+                        g.to_bits() == e.to_bits() || (g.is_nan() && e.is_nan())
+                    };
+                    assert!(
+                        ok,
+                        "Fast({level:?}) a layout {ai}, b layout {bi}: {g} vs {e}"
+                    );
+                }
+            }
+        }
+    }
 }
