@@ -121,7 +121,7 @@ impl<L: Module + 'static> Module for PatchConv2d<L> {
     }
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
-        Some(Box::new(super::QuantizedPatchConv::new(
+        Some(Box::new(qn_nn::QuantizedConv2d::new(
             self.inner.quantized()?,
             self.in_channels,
             self.spec,

@@ -1,29 +1,28 @@
-//! Int8 twins of the quadratic-neuron layers.
+//! Int8 twin of the quadratic-neuron layer.
 //!
 //! [`QuantizedQuadratic`] is the inference-only form of
-//! [`EfficientQuadraticLinear`](super::EfficientQuadraticLinear): the two
-//! big products `f = x(Qᵏ)ᵀ` and `xWᵀ` run through
-//! [`qn_tensor::gemm_i8`] against per-output-channel int8 weights, sharing
-//! **one** activation quantization of `x` — the quadratic neuron's extra
-//! product costs no extra quantization pass. The cheap per-neuron tail
-//! (`Σᵢ λᵢ fᵢ² + b`, and the vectorized interleave of §III-B) stays in
-//! f32: `Λᵏ` is trained at tiny learning rates and its dynamic range is
-//! what the paper's stability lemma bounds, so it is the one place 8-bit
-//! rounding would bite.
+//! [`EfficientQuadraticLinear`](super::EfficientQuadraticLinear). Its
+//! weights are the per-neuron interleaved stack `[w_j; Q_j]` (`m·(k+1)`
+//! rows, the layout the f32 quadratic conv runs), quantized per row, so
+//! one activation quantization of `x` and **one** [`qn_tensor::gemm_i8`]
+//! produce both `xWᵀ` and `f = x(Qᵏ)ᵀ` — already in the vectorized output
+//! layout `[xw_j | f_j…]` of §III-B. The cheap per-neuron tail
+//! (`Σᵢ λᵢ fᵢ² + b`) stays in f32: `Λᵏ` is trained at tiny learning rates
+//! and its dynamic range is what the paper's stability lemma bounds, so it
+//! is the one place 8-bit rounding would bite.
 //!
-//! [`QuantizedPatchConv`] redeploys any quantized dense layer as a
-//! convolution by im2col lowering, exactly like
-//! [`PatchConv2d`](super::PatchConv2d) does for the f32 original.
+//! The convolutional form is `qn_nn`'s [`QuantizedConv2d`](qn_nn::QuantizedConv2d)
+//! over this layer, produced by [`PatchConv2d`](super::PatchConv2d)'s
+//! [`Module::quantized`].
 //!
 //! Like the `qn-nn` quantized layers, forwards compute off-tape through
 //! [`Exec::detached`]: no gradients flow, and the eager path writes into
 //! recycled arena slots.
 
 use qn_autograd::{Exec, Var};
-use qn_nn::quant::{out_dims, quantize_acts_into, ACT_STATS_NAME};
+use qn_nn::quant::{out_dims, Int8Core};
 use qn_nn::{Costs, Module, ParamVisitor};
-use qn_tensor::{gemm_i8, Conv2dSpec, MatMut, MatRefI8, QTensor, Tensor, GEMM_I8_MAX_K};
-use std::sync::RwLock;
+use qn_tensor::{QTensor, Tensor, GEMM_I8_MAX_K};
 
 use crate::complexity::NeuronFamily;
 
@@ -31,11 +30,11 @@ use crate::complexity::NeuronFamily;
 /// layer. Build via [`Module::quantized`] on
 /// [`EfficientQuadraticLinear`](super::EfficientQuadraticLinear) or
 /// directly with [`QuantizedQuadratic::from_factors`].
+#[derive(Clone)]
 pub struct QuantizedQuadratic {
-    /// `[m·k, n]` int8: stacked `(Qᵏ)ᵀ` rows, per-row scales.
-    q: QTensor,
-    /// `[m, n]` int8 linear weights, per-row scales.
-    w: QTensor,
+    /// `[m·(k+1), n]` int8 stack `[w_j; Q_j]` per neuron, per-row scales,
+    /// no bias.
+    core: Int8Core,
     /// `[m, k]` f32 eigenvalues (kept full precision, see module docs).
     lambda: Tensor,
     /// `[m]` f32 bias.
@@ -44,7 +43,6 @@ pub struct QuantizedQuadratic {
     m: usize,
     k: usize,
     vectorized: bool,
-    act_stats: RwLock<Tensor>,
 }
 
 impl QuantizedQuadratic {
@@ -54,7 +52,7 @@ impl QuantizedQuadratic {
     ///
     /// # Panics
     ///
-    /// Panics on shape inconsistency, non-finite weights, or
+    /// Panics on shape inconsistency, `m == 0`, non-finite weights, or
     /// `n > GEMM_I8_MAX_K`.
     pub fn from_factors(
         q: &Tensor,
@@ -65,20 +63,27 @@ impl QuantizedQuadratic {
     ) -> QuantizedQuadratic {
         let (mk, n) = q.dims2();
         let (m, k) = lambda.dims2();
+        assert!(m > 0, "layer needs at least one neuron");
         assert_eq!(mk, m * k, "q rows {mk} != m*k = {}", m * k);
         assert_eq!(w.dims2(), (m, n), "w shape mismatch");
         assert_eq!(b.numel(), m, "b length mismatch");
         assert!(n <= GEMM_I8_MAX_K, "input width {n} exceeds GEMM_I8_MAX_K");
+        // scales are per row, so quantizing the stack gives the same codes
+        // and scales as quantizing `q` and `w` apart
+        let (qd, wd) = (q.data(), w.data());
+        let mut stack = Vec::with_capacity(m * (k + 1) * n);
+        for j in 0..m {
+            stack.extend_from_slice(&wd[j * n..(j + 1) * n]);
+            stack.extend_from_slice(&qd[j * k * n..(j + 1) * k * n]);
+        }
         QuantizedQuadratic {
-            q: QTensor::quantize(q),
-            w: QTensor::quantize(w),
+            core: Int8Core::new(QTensor::quantize_rows(&stack, m * (k + 1), n), None),
             lambda: lambda.clone(),
             b: b.clone(),
             n,
             m,
             k,
             vectorized,
-            act_stats: RwLock::new(Tensor::zeros(&[2])),
         }
     }
 
@@ -96,61 +101,50 @@ impl QuantizedQuadratic {
         }
     }
 
-    /// Total int8 + scale bytes of both weight matrices (the f32 original
+    /// Total int8 + scale bytes of the stacked weights (the f32 original
     /// stores `(m·k + m)·n` floats).
     pub fn weight_bytes(&self) -> usize {
-        self.q.weight_bytes() + self.w.weight_bytes()
+        self.core.weight().weight_bytes()
     }
 
     /// `[lead, n] -> [lead, out]` forward on raw data into `out` (fully
-    /// overwritten), off-tape. Activation codes and the two GEMM outputs
-    /// live in per-thread scratch, so a steady-state call allocates nothing.
+    /// overwritten), off-tape. The stacked GEMM writes `[xw_j | f_j…]` rows;
+    /// each `y` slot is then rewritten as `(xw + b) + Σᵢ λᵢ·fᵢ·fᵢ`, `i`
+    /// ascending. The scalar-output form runs the GEMM into per-thread
+    /// scratch and keeps only the `y` slots, so a steady-state call
+    /// allocates nothing.
     fn apply(&self, xd: &[f32], lead: usize, out: &mut [f32]) {
-        let (m, k, n) = (self.m, self.k, self.n);
-        /// Activation codes, their row scales, `f` and `xWᵀ`.
-        type Scratch = (Vec<i8>, Vec<f32>, Vec<f32>, Vec<f32>);
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<Scratch> =
-                const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
+        let (m, k) = (self.m, self.k);
+        let (lam, bias) = (self.lambda.data(), self.b.data());
+        let epilogue = |row: &mut [f32]| {
+            for (j, group) in row.chunks_exact_mut(k + 1).enumerate() {
+                let (y, f) = group.split_first_mut().expect("k + 1 >= 1");
+                let mut acc = *y + bias[j];
+                for (&l, &fi) in lam[j * k..(j + 1) * k].iter().zip(f.iter()) {
+                    acc += l * fi * fi;
+                }
+                *y = acc;
+            }
+        };
+        if self.vectorized {
+            self.core.apply(xd, lead, out);
+            out.chunks_exact_mut(m * (k + 1)).for_each(epilogue);
+            return;
         }
-        SCRATCH.with(|scratch| {
-            let (codes, sa, f, y1) = &mut *scratch.borrow_mut();
-            quantize_acts_into(&self.act_stats, xd, lead, n, codes, sa);
-            let a = MatRefI8::new(codes, lead, n);
-            // one quantization of x feeds both products
-            f.resize(lead * m * k, 0.0);
-            gemm_i8(
-                MatMut::new(f, lead, m * k),
-                a,
-                self.q.mat().transpose(),
-                sa,
-                self.q.scales(),
-            );
-            y1.resize(lead * m, 0.0);
-            gemm_i8(
-                MatMut::new(y1, lead, m),
-                a,
-                self.w.mat().transpose(),
-                sa,
-                self.w.scales(),
-            );
-            let width = self.out_features();
-            let (lam, bias) = (self.lambda.data(), self.b.data());
-            for bi in 0..lead {
-                let frow = &f[bi * m * k..(bi + 1) * m * k];
-                let orow = &mut out[bi * width..(bi + 1) * width];
-                for j in 0..m {
-                    let fj = &frow[j * k..(j + 1) * k];
-                    let mut y = y1[bi * m + j] + bias[j];
-                    for i in 0..k {
-                        y += lam[j * k + i] * fj[i] * fj[i];
-                    }
-                    if self.vectorized {
-                        orow[j * (k + 1)] = y;
-                        orow[j * (k + 1) + 1..(j + 1) * (k + 1)].copy_from_slice(fj);
-                    } else {
-                        orow[j] = y;
-                    }
+        thread_local! {
+            static RAW: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+        }
+        RAW.with(|raw| {
+            let raw = &mut *raw.borrow_mut();
+            raw.resize(lead * m * (k + 1), 0.0);
+            self.core.apply(xd, lead, raw);
+            for (row, orow) in raw
+                .chunks_exact_mut(m * (k + 1))
+                .zip(out.chunks_exact_mut(m))
+            {
+                epilogue(row);
+                for (o, group) in orow.iter_mut().zip(row.chunks_exact(k + 1)) {
+                    *o = group[0];
                 }
             }
         });
@@ -167,7 +161,7 @@ impl Module for QuantizedQuadratic {
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {
-        v.state(ACT_STATS_NAME, &self.act_stats);
+        self.core.visit_state(v);
     }
 
     fn costs(&self, input: &[usize]) -> Costs {
@@ -190,98 +184,7 @@ impl Module for QuantizedQuadratic {
     }
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
-        Some(Box::new(QuantizedQuadratic {
-            q: self.q.clone(),
-            w: self.w.clone(),
-            lambda: self.lambda.clone(),
-            b: self.b.clone(),
-            n: self.n,
-            m: self.m,
-            k: self.k,
-            vectorized: self.vectorized,
-            act_stats: RwLock::new(
-                self.act_stats
-                    .read()
-                    .expect("act_stats lock poisoned")
-                    .clone(),
-            ),
-        }))
-    }
-}
-
-/// Convolutional deployment of a quantized dense layer: the int8 sibling
-/// of [`PatchConv2d`](super::PatchConv2d), produced by its
-/// [`Module::quantized`] implementation.
-pub struct QuantizedPatchConv {
-    inner: Box<dyn Module>,
-    spec: Conv2dSpec,
-    in_channels: usize,
-    out_channels: usize,
-}
-
-impl QuantizedPatchConv {
-    /// Wraps a quantized dense layer whose input width equals
-    /// `spec.patch_len(in_channels)`.
-    pub fn new(inner: Box<dyn Module>, in_channels: usize, spec: Conv2dSpec) -> QuantizedPatchConv {
-        let n = spec.patch_len(in_channels);
-        let probe = inner.costs(&[1, n]);
-        let out_channels = probe.output[1];
-        QuantizedPatchConv {
-            inner,
-            spec,
-            in_channels,
-            out_channels,
-        }
-    }
-
-    /// Produced channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-}
-
-impl Module for QuantizedPatchConv {
-    fn forward(&self, g: &mut dyn Exec, x: Var) -> Var {
-        let (b, c, h, w) = g.value(x).dims4();
-        assert_eq!(
-            c, self.in_channels,
-            "expected {} channels, got {c}",
-            self.in_channels
-        );
-        let (oh, ow) = self.spec.output_hw(h, w);
-        let cols = g.im2col(x, self.spec);
-        let y = self.inner.forward(g, cols);
-        g.rows_to_nchw(y, b, oh, ow, self.out_channels)
-    }
-
-    fn visit_params(&self, v: &mut dyn ParamVisitor) {
-        self.inner.visit_params(v);
-    }
-
-    fn costs(&self, input: &[usize]) -> Costs {
-        assert_eq!(input.len(), 4, "QuantizedPatchConv expects a 4-D input");
-        let (b, _c, h, w) = (input[0], input[1], input[2], input[3]);
-        let (oh, ow) = self.spec.output_hw(h, w);
-        let rows = b * oh * ow;
-        let n = self.spec.patch_len(self.in_channels);
-        let inner = self.inner.costs(&[rows, n]);
-        Costs {
-            macs: inner.macs,
-            output: vec![b, self.out_channels, oh, ow],
-        }
-    }
-
-    fn weight_dtype(&self) -> &'static str {
-        self.inner.weight_dtype()
-    }
-
-    fn quantized(&self) -> Option<Box<dyn Module>> {
-        Some(Box::new(QuantizedPatchConv {
-            inner: self.inner.quantized()?,
-            spec: self.spec,
-            in_channels: self.in_channels,
-            out_channels: self.out_channels,
-        }))
+        Some(Box::new(self.clone()))
     }
 }
 
@@ -290,7 +193,8 @@ mod tests {
     use super::super::{EfficientQuadraticConv2d, EfficientQuadraticLinear};
     use super::*;
     use qn_autograd::EagerExec;
-    use qn_tensor::Rng;
+    use qn_tensor::{gemm_i8_reference, Conv2dSpec, MatRefI8, Rng};
+    use std::sync::RwLock;
 
     fn drift(a: &Tensor, b: &Tensor) -> f32 {
         let mut worst = 0.0f32;
@@ -319,6 +223,95 @@ mod tests {
         assert_eq!(yf.shape().dims(), yq.shape().dims());
         let d = drift(&yf, &yq);
         assert!(d < 0.25, "quantized quadratic drift too large: {d}");
+    }
+
+    /// The layer's frozen activation scale (`0.0` while dynamic).
+    fn frozen_scale(m: &dyn Module) -> f32 {
+        struct Frozen(f32);
+        impl ParamVisitor for Frozen {
+            fn param(&mut self, _name: &str, _p: &qn_autograd::Parameter) {}
+            fn state(&mut self, _name: &str, t: &RwLock<Tensor>) {
+                self.0 = t.read().unwrap().data()[1];
+            }
+        }
+        let mut v = Frozen(0.0);
+        m.visit_params(&mut v);
+        v.0
+    }
+
+    /// The int8 quadratic layer spelled out: `q` and `w` quantized apart,
+    /// one reference product each against the same activation codes, and
+    /// the epilogue `y = xw + b`, then `y += λᵢ·fᵢ·fᵢ` for `i` ascending.
+    fn reference(factors: [&Tensor; 4], x: &Tensor, frozen: f32, vectorized: bool) -> Vec<f32> {
+        let [q, lambda, w, b] = factors;
+        let ((rows, n), (m, k)) = (x.dims2(), lambda.dims2());
+        let (codes, sa) = if frozen > 0.0 {
+            let mut codes = vec![0i8; rows * n];
+            qn_simd::quantize_to_i8(&mut codes, x.data(), 1.0 / frozen);
+            (codes, vec![frozen; rows])
+        } else {
+            let qx = QTensor::quantize(x);
+            (qx.data().to_vec(), qx.scales().to_vec())
+        };
+        let a = MatRefI8::new(&codes, rows, n);
+        let (qq, qw) = (QTensor::quantize(q), QTensor::quantize(w));
+        let mut f = vec![0.0; rows * m * k];
+        gemm_i8_reference(&mut f, a, qq.mat().transpose(), &sa, qq.scales());
+        let mut xw = vec![0.0; rows * m];
+        gemm_i8_reference(&mut xw, a, qw.mat().transpose(), &sa, qw.scales());
+        let (lam, bias) = (lambda.data(), b.data());
+        let mut out = Vec::new();
+        for r in 0..rows {
+            for j in 0..m {
+                let fj = &f[(r * m + j) * k..(r * m + j + 1) * k];
+                let mut y = xw[r * m + j] + bias[j];
+                for i in 0..k {
+                    y += lam[j * k + i] * fj[i] * fj[i];
+                }
+                out.push(y);
+                if vectorized {
+                    out.extend_from_slice(fj);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn quantized_quadratic_is_bit_identical_to_the_two_product_spec() {
+        let (n, m, k, rows) = (20, 3, 4, 7);
+        for seed in 0..4 {
+            let mut rng = Rng::seed_from(100 + seed);
+            let q = Tensor::randn(&[m * k, n], &mut rng);
+            let lambda = Tensor::randn(&[m, k], &mut rng);
+            let w = Tensor::randn(&[m, n], &mut rng);
+            let b = Tensor::randn(&[m], &mut rng);
+            assert!(b.data().iter().all(|&v| v != 0.0));
+            let mut x = Tensor::randn(&[rows, n], &mut rng);
+            x.data_mut()[..n].fill(0.0); // a zero row takes scale 0
+            for vectorized in [true, false] {
+                for calibrated in [false, true] {
+                    let layer = QuantizedQuadratic::from_factors(&q, &lambda, &w, &b, vectorized);
+                    if calibrated {
+                        // half-range calibration, so large inputs saturate
+                        qn_nn::calibrate(&layer, [x.scale(0.5)]);
+                    }
+                    let frozen = frozen_scale(&layer);
+                    assert_eq!(frozen > 0.0, calibrated);
+                    let got = eager_forward(&layer, x.clone());
+                    let want = reference([&q, &lambda, &w, &b], &x, frozen, vectorized);
+                    assert_eq!(got.numel(), want.len());
+                    for (i, (g, e)) in got.data().iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            e.to_bits(),
+                            "seed {seed} vectorized {vectorized} calibrated {calibrated} \
+                             element {i}: {g} vs {e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

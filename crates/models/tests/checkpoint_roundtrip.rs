@@ -7,7 +7,7 @@
 //! one worker thread vs the full pool.
 
 use proptest::prelude::*;
-use qn_autograd::Graph;
+use qn_autograd::{Graph, Parameter};
 use qn_core::neurons::{
     EfficientQuadraticLinear, FactorizedQuadraticLinear, GeneralQuadraticLinear, KervolutionLinear,
     LowRankQuadraticLinear, NoLinearQuadraticLinear, Quad1Linear, Quad2Linear,
@@ -16,9 +16,10 @@ use qn_core::NeuronSpec;
 use qn_models::{
     InferenceSession, NeuronPlacement, ResNet, ResNetConfig, Transformer, TransformerConfig,
 };
-use qn_nn::{checkpoint, LoadMode, Module};
+use qn_nn::{checkpoint, LoadMode, Module, ParamVisitor};
 use qn_tensor::{Rng, Tensor};
 use std::path::PathBuf;
+use std::sync::RwLock;
 
 fn tmp(tag: &str, seed: u64) -> PathBuf {
     std::env::temp_dir().join(format!("qn_roundtrip_{tag}_{seed}.qnckpt"))
@@ -234,5 +235,84 @@ proptest! {
             prop_assert_eq!(&decoded, &sequential);
             let _ = std::fs::remove_file(&path);
         }
+    }
+}
+
+/// Dotted names of every state tensor `m` reports, in visit order — the
+/// checkpoint keys its `act_stats` and batch-norm statistics load from.
+fn state_names(m: &dyn Module) -> Vec<String> {
+    struct Names {
+        path: Vec<String>,
+        out: Vec<String>,
+    }
+    impl ParamVisitor for Names {
+        fn enter(&mut self, scope: &str) {
+            self.path.push(scope.to_string());
+        }
+        fn leave(&mut self) {
+            self.path.pop();
+        }
+        fn param(&mut self, _name: &str, _p: &Parameter) {}
+        fn state(&mut self, name: &str, _t: &RwLock<Tensor>) {
+            let mut full = self.path.clone();
+            full.push(name.to_string());
+            self.out.push(full.join("."));
+        }
+    }
+    let mut v = Names {
+        path: Vec::new(),
+        out: Vec::new(),
+    };
+    m.visit_params(&mut v);
+    v.out
+}
+
+/// State keys of a depth-8 ResNet's int8 twin, quad and linear alike.
+const QUANTIZED_RESNET8_STATE_KEYS: [&str; 28] = [
+    "stem.act_stats",
+    "stem_bn.running_mean",
+    "stem_bn.running_var",
+    "block0.conv1.act_stats",
+    "block0.bn1.running_mean",
+    "block0.bn1.running_var",
+    "block0.conv2.act_stats",
+    "block0.bn2.running_mean",
+    "block0.bn2.running_var",
+    "block1.conv1.act_stats",
+    "block1.bn1.running_mean",
+    "block1.bn1.running_var",
+    "block1.conv2.act_stats",
+    "block1.bn2.running_mean",
+    "block1.bn2.running_var",
+    "block1.shortcut.act_stats",
+    "block1.shortcut_bn.running_mean",
+    "block1.shortcut_bn.running_var",
+    "block2.conv1.act_stats",
+    "block2.bn1.running_mean",
+    "block2.bn1.running_var",
+    "block2.conv2.act_stats",
+    "block2.bn2.running_mean",
+    "block2.bn2.running_var",
+    "block2.shortcut.act_stats",
+    "block2.shortcut_bn.running_mean",
+    "block2.shortcut_bn.running_var",
+    "classifier.act_stats",
+];
+
+/// The int8 twins' state keys are pinned: calibrated checkpoints written
+/// by earlier builds must keep loading into today's twins.
+#[test]
+fn quantized_resnet_state_keys_are_stable() {
+    for spec in [
+        NeuronSpec::EfficientQuadratic { rank: 3 },
+        NeuronSpec::Linear,
+    ] {
+        let twin = resnet_with(spec, 0).quantized().expect("ResNet quantizes");
+        assert_eq!(
+            state_names(twin.as_ref()),
+            QUANTIZED_RESNET8_STATE_KEYS,
+            "{}",
+            spec.label()
+        );
     }
 }

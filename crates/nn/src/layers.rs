@@ -224,10 +224,17 @@ impl Module for Conv2d {
     }
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
-        let bias = self.bias_value();
+        // `[oc, c, k, k]` viewed as the `[oc, c·k²]` patch-weight matrix
+        let patch = self.spec.patch_len(self.in_channels);
+        let w = self
+            .weight
+            .value()
+            .reshape(&[self.out_channels, patch])
+            .expect("conv weight is [oc, c, k, k]");
+        let dense = crate::quant::QuantizedLinear::new(&w, self.bias_value().as_ref());
         Some(Box::new(crate::quant::QuantizedConv2d::new(
-            &self.weight.value(),
-            bias.as_ref(),
+            Box::new(dense),
+            self.in_channels,
             self.spec,
         )))
     }

@@ -56,8 +56,5 @@ pub use layers::{
 pub use module::{visit_scoped, Costs, Module, ParamVisitor};
 pub use norm::{BatchNorm2d, LayerNorm};
 pub use optim::{clip_grad_norm, Adam, AdamConfig, Sgd, SgdConfig};
-pub use quant::{
-    calibrate, quantize_acts_into, quantize_calibrated, quantize_module, read_qtensor,
-    write_qtensor, QuantizedConv2d, QuantizedLinear, ACT_STATS_NAME,
-};
+pub use quant::{calibrate, quantize_calibrated, QuantizedConv2d, QuantizedLinear, ACT_STATS_NAME};
 pub use schedule::{NoamSchedule, StepDecay};

@@ -1,12 +1,15 @@
 //! Inference-only int8 layers: the runtime half of the quantized tier.
 //!
-//! [`QuantizedLinear`] and [`QuantizedConv2d`] are the int8 twins that
-//! [`Module::quantized`] produces for `Linear` and `Conv2d`. Weights are
-//! snapshotted into per-output-channel symmetric int8
-//! ([`qn_tensor::QTensor`]); activations are quantized per **row** on the
-//! fly and the product runs through [`qn_tensor::gemm_i8`], whose integer
-//! accumulation is bit-identical at every SIMD dispatch level and thread
-//! count.
+//! Every int8 dense product runs through one engine, [`Int8Core`]:
+//! weights snapshotted into per-output-channel symmetric int8
+//! ([`qn_tensor::QTensor`]), activations quantized per **row** on the fly,
+//! and one [`qn_tensor::gemm_i8`], whose integer accumulation is
+//! bit-identical at every SIMD dispatch level and thread count.
+//! [`QuantizedLinear`] is `Linear`'s twin over it (and `qn-core`'s
+//! quadratic twin runs its stacked weights through it); every int8
+//! convolution is one [`QuantizedConv2d`] — im2col, a quantized dense
+//! layer, `rows_to_nchw` — whether [`Module::quantized`] built it from
+//! `Conv2d` or from a patch-lowered neuron layer.
 //!
 //! # Activation scales: dynamic vs. frozen
 //!
@@ -38,20 +41,12 @@
 use crate::layers::Linear;
 use crate::module::{Costs, Module, ParamVisitor};
 use qn_autograd::{EagerExec, Exec, Var};
-use qn_tensor::{
-    gemm_i8, Checkpoint, CheckpointWriter, Conv2dSpec, MatMut, MatRefI8, QTensor, Tensor,
-    TensorError, GEMM_I8_MAX_K,
-};
+use qn_tensor::{gemm_i8, Conv2dSpec, MatMut, MatRefI8, QTensor, Tensor, GEMM_I8_MAX_K};
 use std::sync::RwLock;
 
 /// Local name every quantized layer reports its activation statistics
 /// under (a 2-element tensor `[observed_absmax, frozen_scale]`).
 pub const ACT_STATS_NAME: &str = "act_stats";
-
-/// Fresh activation statistics: nothing observed, dynamic scaling.
-fn new_act_stats() -> RwLock<Tensor> {
-    RwLock::new(Tensor::zeros(&[2]))
-}
 
 /// Quantizes a `[rows, cols]` activation block against `stats` into
 /// caller-provided buffers, resized to `rows·cols` int8 codes and `rows`
@@ -67,7 +62,7 @@ fn new_act_stats() -> RwLock<Tensor> {
 /// # Panics
 ///
 /// Panics if `x.len() != rows * cols` or the stats lock is poisoned.
-pub fn quantize_acts_into(
+fn quantize_acts_into(
     stats: &RwLock<Tensor>,
     x: &[f32],
     rows: usize,
@@ -139,10 +134,11 @@ pub fn out_dims(x: &Tensor, in_features: usize, out_features: usize) -> ([usize;
     (dims, nd)
 }
 
-/// The shared int8 matmul engine behind [`QuantizedLinear`] and
-/// [`QuantizedConv2d`]: quantized `[out, in]` weights, optional f32 bias,
-/// and the layer's activation statistics.
-struct Int8Core {
+/// The int8 matmul engine behind every quantized dense product
+/// ([`QuantizedLinear`], and through it [`QuantizedConv2d`], plus the
+/// quadratic twin in `qn-core`): quantized `[out, in]` weights, optional
+/// f32 bias, and the layer's activation statistics.
+pub struct Int8Core {
     /// Per-output-channel int8 weights, `[out, in]` row-major.
     weight: QTensor,
     /// Optional f32 bias, `[out]`.
@@ -151,7 +147,14 @@ struct Int8Core {
 }
 
 impl Int8Core {
-    fn new(weight: QTensor, bias: Option<Tensor>) -> Int8Core {
+    /// Wraps already-quantized weights with fresh (dynamic) activation
+    /// statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bias` length mismatches the weight rows or the weight
+    /// has more than [`GEMM_I8_MAX_K`] columns.
+    pub fn new(weight: QTensor, bias: Option<Tensor>) -> Int8Core {
         if let Some(b) = &bias {
             assert_eq!(
                 b.numel(),
@@ -167,13 +170,24 @@ impl Int8Core {
         Int8Core {
             weight,
             bias,
-            act_stats: new_act_stats(),
+            // nothing observed, dynamic scaling
+            act_stats: RwLock::new(Tensor::zeros(&[2])),
         }
+    }
+
+    /// The quantized `[out, in]` weight matrix.
+    pub fn weight(&self) -> &QTensor {
+        &self.weight
+    }
+
+    /// Reports the activation statistics as [`ACT_STATS_NAME`] state.
+    pub fn visit_state(&self, v: &mut dyn ParamVisitor) {
+        v.state(ACT_STATS_NAME, &self.act_stats);
     }
 
     /// `[rows, in] × [in, out] + bias` into `y` (`rows·out` elements, fully
     /// overwritten), all in int8 with an f32 epilogue.
-    fn apply(&self, x: &[f32], rows: usize, y: &mut [f32]) {
+    pub fn apply(&self, x: &[f32], rows: usize, y: &mut [f32]) {
         let (k, out) = (self.weight.cols(), self.weight.rows());
         // activation codes die as soon as the GEMM consumes them, so each
         // thread reuses one scratch pair across layers and forwards
@@ -205,8 +219,10 @@ impl Int8Core {
             }
         }
     }
+}
 
-    fn clone_core(&self) -> Int8Core {
+impl Clone for Int8Core {
+    fn clone(&self) -> Int8Core {
         Int8Core {
             weight: self.weight.clone(),
             bias: self.bias.clone(),
@@ -225,6 +241,7 @@ impl Int8Core {
 ///
 /// Produced by [`Module::quantized`] on `Linear`; constructible directly
 /// from any `[out, in]` weight via [`QuantizedLinear::new`].
+#[derive(Clone)]
 pub struct QuantizedLinear {
     core: Int8Core,
     in_features: usize,
@@ -250,7 +267,7 @@ impl QuantizedLinear {
 
     /// The quantized weight matrix.
     pub fn weight(&self) -> &QTensor {
-        &self.core.weight
+        self.core.weight()
     }
 
     /// Input width.
@@ -283,7 +300,7 @@ impl Module for QuantizedLinear {
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {
-        v.state(ACT_STATS_NAME, &self.core.act_stats);
+        self.core.visit_state(v);
     }
 
     fn costs(&self, input: &[usize]) -> Costs {
@@ -303,50 +320,35 @@ impl Module for QuantizedLinear {
     }
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
-        Some(Box::new(QuantizedLinear {
-            core: self.core.clone_core(),
-            in_features: self.in_features,
-            out_features: self.out_features,
-        }))
+        Some(Box::new(self.clone()))
     }
 }
 
-/// Int8 twin of `Conv2d`: the im2col patch product runs through
-/// [`gemm_i8`] against `[out_channels, in_channels·k²]` int8 weights.
+/// Convolutional deployment of a quantized dense layer: im2col lowers each
+/// receptive-field patch to a row, `inner` maps the `[rows, c·k²]` patch
+/// matrix to `[rows, out_channels]`, and `rows_to_nchw` restores the image
+/// layout. The int8 twin of both `Conv2d` (over a [`QuantizedLinear`]) and
+/// `qn-core`'s `PatchConv2d` (over its dense layer's twin).
 pub struct QuantizedConv2d {
-    core: Int8Core,
+    inner: Box<dyn Module>,
     spec: Conv2dSpec,
     in_channels: usize,
     out_channels: usize,
 }
 
 impl QuantizedConv2d {
-    /// Quantizes a `[oc, c, k, k]` convolution weight per output channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is not 4-D with square kernels matching `spec`,
-    /// contains non-finite values, or `bias` length mismatches.
-    pub fn new(weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> QuantizedConv2d {
-        let (oc, c, kh, kw) = weight.dims4();
-        assert_eq!(kh, kw, "QuantizedConv2d: kernels must be square");
-        assert_eq!(
-            kh, spec.kernel,
-            "QuantizedConv2d: weight/spec kernel mismatch"
-        );
-        let patch = c * kh * kw;
-        let q = QTensor::quantize_rows(weight.data(), oc, patch);
+    /// Wraps a quantized dense layer whose input width equals
+    /// `spec.patch_len(in_channels)`; the output channel count is its
+    /// output width.
+    pub fn new(inner: Box<dyn Module>, in_channels: usize, spec: Conv2dSpec) -> QuantizedConv2d {
+        let n = spec.patch_len(in_channels);
+        let out_channels = inner.costs(&[1, n]).output[1];
         QuantizedConv2d {
-            core: Int8Core::new(q, bias.cloned()),
+            inner,
             spec,
-            in_channels: c,
-            out_channels: oc,
+            in_channels,
+            out_channels,
         }
-    }
-
-    /// The quantized `[oc, c·k²]` patch-weight matrix.
-    pub fn weight(&self) -> &QTensor {
-        &self.core.weight
     }
 
     /// Spatial geometry of the convolution.
@@ -370,35 +372,32 @@ impl Module for QuantizedConv2d {
         );
         let (oh, ow) = self.spec.output_hw(h, w);
         let patches = cx.im2col(x, self.spec);
-        let rows = b * oh * ow;
-        let yv = cx.detached(patches, &[rows, self.out_channels], &mut |p, y| {
-            self.core.apply(p.data(), rows, y)
-        });
-        cx.rows_to_nchw(yv, b, oh, ow, self.out_channels)
+        let y = self.inner.forward(cx, patches);
+        cx.rows_to_nchw(y, b, oh, ow, self.out_channels)
     }
 
     fn visit_params(&self, v: &mut dyn ParamVisitor) {
-        v.state(ACT_STATS_NAME, &self.core.act_stats);
+        self.inner.visit_params(v);
     }
 
     fn costs(&self, input: &[usize]) -> Costs {
         assert_eq!(input.len(), 4, "QuantizedConv2d costs expects NCHW");
         let (b, _, h, w) = (input[0], input[1], input[2], input[3]);
         let (oh, ow) = self.spec.output_hw(h, w);
-        let patch = self.in_channels * self.spec.kernel * self.spec.kernel;
+        let n = self.spec.patch_len(self.in_channels);
         Costs {
-            macs: (b * oh * ow * patch * self.out_channels) as u64,
+            macs: self.inner.costs(&[b * oh * ow, n]).macs,
             output: vec![b, self.out_channels, oh, ow],
         }
     }
 
     fn weight_dtype(&self) -> &'static str {
-        "int8"
+        self.inner.weight_dtype()
     }
 
     fn quantized(&self) -> Option<Box<dyn Module>> {
         Some(Box::new(QuantizedConv2d {
-            core: self.core.clone_core(),
+            inner: self.inner.quantized()?,
             spec: self.spec,
             in_channels: self.in_channels,
             out_channels: self.out_channels,
@@ -414,13 +413,6 @@ impl Linear {
         let b = self.bias_value();
         QuantizedLinear::new(&w, b.as_ref())
     }
-}
-
-/// Snapshots `m` into its inference-only int8 twin, if every layer in the
-/// tree supports quantization — the public entry point of the quantized
-/// tier. Equivalent to `m.quantized()`; see [`Module::quantized`].
-pub fn quantize_module(m: &dyn Module) -> Option<Box<dyn Module>> {
-    m.quantized()
 }
 
 /// Quantizes `m` and immediately calibrates the twin's activation scales
@@ -481,44 +473,6 @@ fn for_each_act_stats(m: &dyn Module, f: &mut dyn FnMut(&RwLock<Tensor>)) {
         }
     }
     m.visit_params(&mut V { f });
-}
-
-/// Writes a [`QTensor`] into a checkpoint as the int8 `"{name}.codes"`
-/// blob plus an f32 `"{name}.scales"` sibling — the persistence pairing
-/// [`read_qtensor`] reverses.
-pub fn write_qtensor(w: &mut CheckpointWriter, name: &str, q: &QTensor) {
-    w.add_i8(
-        format!("{name}.codes"),
-        q.data().to_vec(),
-        &[q.rows(), q.cols()],
-    );
-    let scales =
-        Tensor::from_vec(q.scales().to_vec(), &[q.rows()]).expect("scales length equals row count");
-    w.add(format!("{name}.scales"), scales);
-}
-
-/// Reads a [`QTensor`] written by [`write_qtensor`] back out of a
-/// checkpoint.
-///
-/// # Errors
-///
-/// Returns [`TensorError`] if either entry is missing, has the wrong
-/// dtype, or the codes/scales shapes disagree.
-pub fn read_qtensor(ck: &Checkpoint, name: &str) -> Result<QTensor, TensorError> {
-    let codes_name = format!("{name}.codes");
-    let codes = ck.i8_slice(&codes_name)?;
-    let entry = ck
-        .entry(&codes_name)
-        .expect("i8_slice succeeded, so the entry exists");
-    let dims = entry.shape.clone();
-    if dims.len() != 2 {
-        return Err(TensorError::InvalidCheckpoint {
-            offset: 0,
-            detail: format!("{codes_name}: expected 2-D codes, got {dims:?}"),
-        });
-    }
-    let scales = ck.tensor(&format!("{name}.scales"))?;
-    QTensor::from_parts(codes.to_vec(), scales.data().to_vec(), dims[0], dims[1])
 }
 
 #[cfg(test)]
@@ -657,19 +611,5 @@ mod tests {
         }
         let seq = Sequential::new(vec![Box::new(NoQuant) as Box<dyn Module>]);
         assert!(seq.quantized().is_none(), "one holdout blocks the tree");
-    }
-
-    #[test]
-    fn qtensor_checkpoint_roundtrip() {
-        let w = randn(&[6, 10], 51);
-        let q = QTensor::quantize(&w);
-        let mut wtr = CheckpointWriter::new();
-        write_qtensor(&mut wtr, "layer.weight", &q);
-        let bytes = wtr.to_bytes().unwrap();
-        let ck = Checkpoint::from_mmap(qn_tensor::Mmap::from_bytes(bytes).into()).unwrap();
-        let back = read_qtensor(&ck, "layer.weight").unwrap();
-        assert_eq!(back.data(), q.data());
-        assert_eq!(back.scales(), q.scales());
-        assert!(read_qtensor(&ck, "missing").is_err());
     }
 }

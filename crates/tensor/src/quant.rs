@@ -42,7 +42,7 @@
 //! workspace (documented in `qn_simd::dot_i8`; [`gemm_i8`] asserts it).
 
 use crate::mat::{scratch, MatMut, PAR_MIN_MACS};
-use crate::{Tensor, TensorError};
+use crate::Tensor;
 
 /// Largest inner dimension [`gemm_i8`] accepts: beyond this the i32
 /// accumulator of `qn_simd::dot_i8` could overflow (see module docs).
@@ -345,36 +345,6 @@ impl QTensor {
             rows,
             cols,
         }
-    }
-
-    /// Rebuilds a `QTensor` from stored parts (checkpoint loading).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidCheckpoint`] if the lengths don't
-    /// match the shape.
-    pub fn from_parts(
-        data: Vec<i8>,
-        scales: Vec<f32>,
-        rows: usize,
-        cols: usize,
-    ) -> Result<QTensor, TensorError> {
-        if data.len() != rows * cols || scales.len() != rows {
-            return Err(TensorError::InvalidCheckpoint {
-                offset: 0,
-                detail: format!(
-                    "QTensor parts mismatch: {} codes + {} scales for {rows}x{cols}",
-                    data.len(),
-                    scales.len()
-                ),
-            });
-        }
-        Ok(QTensor {
-            data,
-            scales,
-            rows,
-            cols,
-        })
     }
 
     /// Reconstructs the f32 tensor `codes[i, j] · scales[i]`.
