@@ -1,24 +1,23 @@
 //! Persistence-path benchmark: checkpoint serialize throughput, cold-start
 //! load latency (blob-copying vs zero-copy mmap), and registry hot-swap
-//! latency — recorded in `BENCH_load.json` at the repo root.
+//! latency — recorded in `BENCH_load.json`.
 //!
-//! Doubles as the enforcement point for the PR's zero-copy contract, with
-//! the counting global allocator as the instrument:
+//! Doubles as the enforcement point for the zero-copy contract, with the
+//! counting global allocator as the instrument:
 //!
 //! 1. a mmap load must leave **every** parameter backed by the mapped file,
 //! 2. the mmap-loaded model must predict **bit-identically** to the model
 //!    the checkpoint was saved from, and
 //! 3. the mmap load must allocate at least the parameter-byte total *less*
 //!    than the copying load — i.e. zero parameter bytes are copied.
-//!
-//! Set `QN_SMOKE=1` for a CI-sized configuration.
 
 #[global_allocator]
 static ALLOC: qn_bench::counting_alloc::CountingAlloc = qn_bench::counting_alloc::CountingAlloc;
 
+mod common;
+
 use qn_autograd::Parameter;
 use qn_bench::counting_alloc::snapshot;
-use qn_bench::time_mean;
 use qn_core::NeuronSpec;
 use qn_models::{InferenceSession, ModelRegistry, NeuronPlacement, ResNet, ResNetConfig};
 use qn_nn::{checkpoint, LoadMode, Module, ParamVisitor};
@@ -53,62 +52,62 @@ impl ParamVisitor for MapCensus {
 }
 
 fn main() {
-    let smoke = std::env::var("QN_SMOKE").map(|v| v == "1").unwrap_or(false);
-    let (depth, width, res, rank) = if smoke { (8, 4, 12, 3) } else { (20, 8, 16, 9) };
-    let samples = if smoke { 5 } else { 20 };
+    let mut bench = common::Bench::new("load");
+    let (depth, width, res, rank) = if bench.smoke {
+        (8, 4, 12, 3)
+    } else {
+        (20, 8, 16, 9)
+    };
+    let samples = if bench.smoke { 5 } else { 20 };
+    let model = format!("resnet{depth}_quadratic_k{rank}");
     let net = quadratic_resnet(depth, width, rank, 47);
     let param_bytes = 4 * net.param_count() as u64;
     let path = std::env::temp_dir().join("qn_bench_checkpoint.qnckpt");
+    let pool = qn_parallel::pool_threads();
 
     // ---- serialize ------------------------------------------------------
-    let save_s = time_mean(samples, || {
+    let r = bench.time(format!("serialize/{model}"), pool, samples, || {
         checkpoint::save_module(&net, &[("bench", "checkpoint")], &path).expect("save");
     });
     let file_bytes = std::fs::metadata(&path).expect("checkpoint written").len();
-    let serialize_mb_s = file_bytes as f64 / 1e6 / save_s;
-    eprintln!(
-        "serialize: {file_bytes} B in {:.3} ms ({serialize_mb_s:.0} MB/s)",
-        save_s * 1e3
-    );
+    let t = r.median();
+    r.metric("file_bytes", file_bytes as f64)
+        .metric("param_bytes", param_bytes as f64)
+        .metric("mb_per_s", file_bytes as f64 / 1e6 / t);
 
-    // ---- cold-start load: copy vs mmap ----------------------------------
+    // ---- cold-start load: copy vs mmap, and their allocations -----------
     let copied = quadratic_resnet(depth, width, rank, 48);
-    let copy_s = time_mean(samples, || {
-        checkpoint::load_module(&copied, &path, LoadMode::Copy).expect("copy load");
-    });
     let mapped = quadratic_resnet(depth, width, rank, 49);
-    let mapped_s = time_mean(samples, || {
-        checkpoint::load_module(&mapped, &path, LoadMode::Mapped).expect("mmap load");
-    });
-    eprintln!(
-        "cold-start load: copy {:.3} ms, mmap {:.3} ms ({:.2}x)",
-        copy_s * 1e3,
-        mapped_s * 1e3,
-        copy_s / mapped_s
-    );
-
-    // ---- allocation accounting (single-threaded attribution) ------------
-    let _ = qn_parallel::pool_threads();
-    let (copy_alloc, mapped_alloc) = qn_parallel::with_max_threads(1, || {
-        let before = snapshot();
-        checkpoint::load_module(&copied, &path, LoadMode::Copy).expect("copy load");
-        let copy_alloc = snapshot().since(&before);
-        let before = snapshot();
-        checkpoint::load_module(&mapped, &path, LoadMode::Mapped).expect("mmap load");
-        let mapped_alloc = snapshot().since(&before);
-        (copy_alloc, mapped_alloc)
-    });
-    eprintln!(
-        "load allocations: copy {} B, mmap {} B ({param_bytes} parameter bytes in the model)",
-        copy_alloc.bytes, mapped_alloc.bytes
-    );
+    let mut loads = Vec::new();
+    for (mode, target, name) in [
+        (LoadMode::Copy, &copied, "copy"),
+        (LoadMode::Mapped, &mapped, "mmap"),
+    ] {
+        let load = || {
+            checkpoint::load_module(target, &path, mode).expect("checkpoint loads");
+        };
+        // single-threaded so the process-global counters are attributable
+        let bytes = qn_parallel::with_max_threads(1, || {
+            let before = snapshot();
+            load();
+            snapshot().since(&before).bytes
+        });
+        let mut census = MapCensus {
+            mapped: 0,
+            owned: 0,
+        };
+        target.visit_params(&mut census);
+        bench
+            .time(format!("cold_load_{name}/{model}"), pool, samples, load)
+            .metric("alloc_bytes", bytes as f64)
+            .metric("mapped_params", census.mapped as f64)
+            .metric("owned_params", census.owned as f64);
+        loads.push((bytes, census));
+    }
+    let (mapped_alloc, census) = loads.pop().expect("mmap load measured");
+    let (copy_alloc, _) = loads.pop().expect("copy load measured");
 
     // ---- the zero-copy contract -----------------------------------------
-    let mut census = MapCensus {
-        mapped: 0,
-        owned: 0,
-    };
-    mapped.visit_params(&mut census);
     let mut rng = Rng::seed_from(51);
     let x = Tensor::randn(&[2, 3, res, res], &mut rng);
     let want = InferenceSession::new(&net).predict_batch(&x);
@@ -123,43 +122,16 @@ fn main() {
     let mut session = registry.session("serve").expect("slot exists");
     std::hint::black_box(session.predict_batch(&x).data()[0]);
     let mut flip = false;
-    let swap_s = time_mean(samples, || {
+    bench.time(format!("hot_swap/{model}"), pool, samples, || {
         flip = !flip;
         registry.publish("serve", Arc::clone(if flip { &gen_b } else { &gen_a }));
         session.refresh();
     });
     std::hint::black_box(session.predict_batch(&x).data()[0]);
-    eprintln!(
-        "registry hot-swap (publish + session rebuild): {:.2} us",
-        swap_s * 1e6
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"load\",\n  \"model\": \"resnet{depth}_quadratic_k{rank}\",\n  \
-\"smoke\": {smoke},\n  \"file_bytes\": {file_bytes},\n  \"param_bytes\": {param_bytes},\n  \
-\"serialize_ms\": {:.4},\n  \"serialize_mb_s\": {serialize_mb_s:.1},\n  \
-\"cold_load_copy_ms\": {:.4},\n  \"cold_load_mmap_ms\": {:.4},\n  \
-\"load_alloc_bytes_copy\": {},\n  \"load_alloc_bytes_mmap\": {},\n  \
-\"mapped_params\": {},\n  \"owned_params\": {},\n  \
-\"mmap_predict_bit_identical\": {bit_identical},\n  \"hot_swap_us\": {:.4}\n}}\n",
-        save_s * 1e3,
-        copy_s * 1e3,
-        mapped_s * 1e3,
-        copy_alloc.bytes,
-        mapped_alloc.bytes,
-        census.mapped,
-        census.owned,
-        swap_s * 1e6,
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_load.json");
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("could not write {out}: {e}");
-    } else {
-        eprintln!("recorded {out}");
-    }
+    bench.write();
     let _ = std::fs::remove_file(&path);
 
-    // Checked last so the JSON is written either way; violations fail CI.
+    // Checked after the write so the record exists either way.
     assert_eq!(
         census.owned, 0,
         "mmap load left {} parameters owned",
@@ -171,11 +143,9 @@ fn main() {
         "mmap-loaded model must predict bit-identically"
     );
     assert!(
-        copy_alloc.bytes >= mapped_alloc.bytes + param_bytes,
+        copy_alloc >= mapped_alloc + param_bytes,
         "mmap load must allocate at least the parameter-byte total ({param_bytes} B) less than \
-         the copying load (copy {} B, mmap {} B) — parameter bytes were copied",
-        copy_alloc.bytes,
-        mapped_alloc.bytes
+         the copying load (copy {copy_alloc} B, mmap {mapped_alloc} B) — parameter bytes were copied"
     );
     eprintln!("load: mmap path copies zero parameter bytes ✓");
 }

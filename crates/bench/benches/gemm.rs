@@ -4,18 +4,18 @@
 //! quadratic conv's stacked weight gradient `[g_y | gf]ᵀ · cols`, and
 //! transformer attention products (square `matmul`s per head).
 //!
-//! For every shape the bench measures single-thread GFLOP/s of the naive
-//! seed kernel, the packed scalar (`Exact`-profile) core, and the packed
-//! vector (`Fast`-profile) core at the active SIMD level; asserts the exact
-//! outputs are bit-identical to the seed (the determinism contract) and the
-//! fast outputs are close (the ULP tier); and records everything —
-//! including the packed core's full-pool throughput — in `BENCH_gemm.json`
-//! at the repo root. Set `QN_SMOKE=1` for a CI-sized run,
+//! For every shape the bench times the naive seed kernel, the packed scalar
+//! (`Exact`-profile) core at one thread and at the full pool, and the packed
+//! vector (`Fast`-profile) core at the active SIMD level; on the im2col
+//! shapes it also times `gemm_i8`, so f32 and int8 share one run. It fails
+//! unless the exact outputs are bit-identical to the seed (the determinism
+//! contract), the fast outputs are within the ULP tier, and `gemm_i8` is
+//! bit-identical across thread counts. Writes `BENCH_gemm.json`; set
 //! `QN_SIMD={scalar,sse2,avx2}` to pin the vector level.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qn_bench::time_mean;
-use qn_tensor::{reference, Rng, Tensor};
+mod common;
+
+use qn_tensor::{gemm_i8, reference, MatMut, QTensor, Rng, Tensor};
 
 /// How a product's operands are stored: `A [m, k]` or `Aᵀ [k, m]`, and
 /// `B [k, n]` or `Bᵀ [n, k]`.
@@ -29,18 +29,9 @@ enum Layout {
     Tn,
 }
 
-impl Layout {
-    fn name(self) -> &'static str {
-        match self {
-            Layout::Nn => "nn",
-            Layout::Nt => "nt",
-            Layout::Tn => "tn",
-        }
-    }
-}
-
 /// (label, m, k, n, layout):
-/// - ResNet-20/CIFAR im2col products `[B·OH·OW, C·K²] × [OC, C·K²]ᵀ`;
+/// - ResNet-20/CIFAR im2col products `[B·OH·OW, C·K²] × [OC, C·K²]ᵀ`
+///   (the `_im2col` labels, which also time `gemm_i8`);
 /// - the per-image conv forward `W [OC, C·K²] · colsᵀ`, with `cols`
 ///   `[OH·OW, C·K²]` (ResNet-20 width 8, stage 1, 16×16);
 /// - the quadratic conv's stacked weight gradient `[g_y | gf]ᵀ · cols`
@@ -57,15 +48,12 @@ const SHAPES: [(&str, usize, usize, usize, Layout); 8] = [
     ("attention_scores_t128", 128, 64, 128, Layout::Nn),
 ];
 
-fn bench(c: &mut Criterion) {
-    let smoke = std::env::var("QN_SMOKE").map(|v| v == "1").unwrap_or(false);
-    let samples = if smoke { 5 } else { 40 };
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+fn main() {
+    let mut bench = common::Bench::new("gemm");
+    let samples = if bench.smoke { 5 } else { 40 };
+    let pool = qn_parallel::pool_threads();
     let mut rng = Rng::seed_from(61);
 
-    let mut records = Vec::new();
     for &(label, m, k, n, layout) in &SHAPES {
         let a = match layout {
             Layout::Tn => Tensor::randn(&[k, m], &mut rng),
@@ -75,98 +63,86 @@ fn bench(c: &mut Criterion) {
             Layout::Nt => Tensor::randn(&[n, k], &mut rng),
             Layout::Nn | Layout::Tn => Tensor::randn(&[k, n], &mut rng),
         };
-        let packed = |a: &Tensor, b: &Tensor| match layout {
-            Layout::Nn => a.matmul(b),
-            Layout::Nt => a.matmul_transb(b),
-            Layout::Tn => a.matmul_transa(b),
+        let packed = || match layout {
+            Layout::Nn => a.matmul(&b),
+            Layout::Nt => a.matmul_transb(&b),
+            Layout::Tn => a.matmul_transa(&b),
         };
-        let naive = |a: &Tensor, b: &Tensor| match layout {
-            Layout::Nn => reference::matmul(a, b),
-            Layout::Nt => reference::matmul_transb(a, b),
-            Layout::Tn => reference::matmul_transa(a, b),
+        let naive = || match layout {
+            Layout::Nn => reference::matmul(&a, &b),
+            Layout::Nt => reference::matmul_transb(&a, &b),
+            Layout::Tn => reference::matmul_transa(&a, &b),
         };
+        let exact_out = packed();
         assert!(
-            packed(&a, &b).bit_identical(&naive(&a, &b)),
+            exact_out.bit_identical(&naive()),
             "{label}: packed core must be bit-identical to the seed kernel"
         );
-        let flops = 2.0 * m as f64 * n as f64 * k as f64;
-        let naive_s = time_mean(samples, || {
-            std::hint::black_box(naive(&a, &b).data()[0]);
+        let gflops = |median: f64| 2.0 * (m * n * k) as f64 / median / 1e9;
+
+        let r = bench.time(format!("{label}/naive"), 1, samples, || {
+            std::hint::black_box(naive().data()[0]);
         });
-        let packed_1t = qn_parallel::with_max_threads(1, || {
-            time_mean(samples, || {
-                std::hint::black_box(packed(&a, &b).data()[0]);
-            })
+        let naive_s = r.median();
+        r.metric("gflops", gflops(naive_s));
+        let r = bench.time(format!("{label}/packed_1t"), 1, samples, || {
+            std::hint::black_box(packed().data()[0]);
         });
-        let packed_nt = time_mean(samples, || {
-            std::hint::black_box(packed(&a, &b).data()[0]);
+        let packed_s = r.median();
+        r.metric("gflops", gflops(packed_s))
+            .metric("speedup_vs_naive", naive_s / packed_s);
+        let r = bench.time(format!("{label}/packed_pool"), pool, samples, || {
+            std::hint::black_box(packed().data()[0]);
         });
-        // Fast-profile (vector) single-thread run at the active SIMD level.
+        let t = r.median();
+        r.metric("gflops", gflops(t));
+
         let prev = qn_simd::force_profile(qn_simd::KernelProfile::Fast);
-        let fast_out = packed(&a, &b);
-        let fast_1t = qn_parallel::with_max_threads(1, || {
-            time_mean(samples, || {
-                std::hint::black_box(packed(&a, &b).data()[0]);
-            })
+        let fast_out = packed();
+        let r = bench.time(format!("{label}/fast_1t"), 1, samples, || {
+            std::hint::black_box(packed().data()[0]);
         });
         qn_simd::force_profile(prev);
-        let exact_out = packed(&a, &b);
+        let t = r.median();
+        r.metric("gflops", gflops(t))
+            .metric("speedup_vs_packed_1t", packed_s / t);
         for (f, e) in fast_out.data().iter().zip(exact_out.data()) {
             assert!(
                 (f - e).abs() <= 1e-4 * (1.0 + e.abs()),
                 "{label}: fast-profile output drifted beyond the ULP tier: {f} vs {e}"
             );
         }
-        let (gf_naive, gf_1t, gf_nt, gf_fast) = (
-            flops / naive_s / 1e9,
-            flops / packed_1t / 1e9,
-            flops / packed_nt / 1e9,
-            flops / fast_1t / 1e9,
-        );
-        let speedup = gf_1t / gf_naive;
-        let fast_speedup = gf_fast / gf_1t;
-        eprintln!(
-            "gemm/{label} ({m}x{k}x{n}): naive {gf_naive:.2} GFLOP/s, \
-             packed 1t {gf_1t:.2} GFLOP/s ({speedup:.2}x), \
-             fast({simd}) 1t {gf_fast:.2} GFLOP/s ({fast_speedup:.2}x over packed), \
-             packed {host_cpus}t {gf_nt:.2} GFLOP/s",
-            simd = qn_simd::SimdLevel::active().name(),
-        );
-        let layout = layout.name();
-        records.push(format!(
-            "    {{\n      \"shape\": \"{label}\",\n      \"m\": {m},\n      \"k\": {k},\n      \
-\"n\": {n},\n      \"layout\": \"{layout}\",\n      \"naive_gflops\": {gf_naive:.3},\n      \
-\"packed_1t_gflops\": {gf_1t:.3},\n      \"packed_vector_1t_gflops\": {gf_fast:.3},\n      \
-\"packed_full_pool_gflops\": {gf_nt:.3},\n      \
-\"speedup_1t_vs_naive\": {speedup:.3},\n      \
-\"speedup_vector_vs_packed_1t\": {fast_speedup:.3},\n      \"bit_identical\": true\n    }}"
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"gemm\",\n  \"smoke\": {smoke},\n  \"samples\": {samples},\n  \
-\"host_cpus\": {host_cpus},\n  \"simd\": \"{simd}\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        records.join(",\n"),
-        simd = qn_simd::SimdLevel::active().name(),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        eprintln!("recorded {path}");
-    }
 
-    let mut group = c.benchmark_group("gemm");
-    group.sample_size(samples);
-    let a = Tensor::randn(&[1024, 144], &mut rng);
-    let b = Tensor::randn(&[16, 144], &mut rng);
-    group.bench_function(BenchmarkId::new("packed", "resnet20_stage1"), |bch| {
-        bch.iter(|| std::hint::black_box(a.matmul_transb(&b).data()[0]))
-    });
-    group.bench_function(BenchmarkId::new("naive", "resnet20_stage1"), |bch| {
-        bch.iter(|| std::hint::black_box(reference::matmul_transb(&a, &b).data()[0]))
-    });
-    group.finish();
+        if !label.ends_with("_im2col") {
+            continue;
+        }
+        // int8 twin of the same product: activations `a`, weights `b`
+        let (qa, qb) = (QTensor::quantize(&a), QTensor::quantize(&b));
+        let run_i8 = || {
+            let mut out = vec![0.0f32; m * n];
+            gemm_i8(
+                MatMut::new(&mut out, m, n),
+                qa.mat(),
+                qb.mat().transpose(),
+                qa.scales(),
+                qb.scales(),
+            );
+            out
+        };
+        let one_thread = qn_parallel::with_max_threads(1, run_i8);
+        assert!(
+            run_i8()
+                .iter()
+                .zip(&one_thread)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{label}: gemm_i8 must be bit-identical across thread counts"
+        );
+        let r = bench.time(format!("{label}/int8_1t"), 1, samples, || {
+            std::hint::black_box(run_i8()[0]);
+        });
+        let t = r.median();
+        r.metric("gflops", gflops(t))
+            .metric("speedup_vs_packed_1t", packed_s / t);
+    }
+    bench.write();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,246 +1,150 @@
-//! The int8 inference tier, measured: weight-memory reduction, `gemm_i8`
-//! vs the f32 exact GEMM at ResNet-20 im2col shapes, end-to-end `predict`
-//! latency of a quantized ResNet-20 session vs the f32 exact session, and
-//! top-1 accuracy drift on the synthetic classifier evaluation — all
-//! recorded in `BENCH_quant.json` at the repo root.
+//! The int8 inference tier, measured: weight-memory reduction at the
+//! ResNet-20 im2col shapes, `predict` latency of the calibrated and dynamic
+//! int8 sessions vs the f32 exact session on ResNet-20, and top-1 drift of
+//! both int8 sessions on the synthetic classifier evaluation. The `gemm_i8`
+//! kernel itself is timed next to the f32 core by the `gemm` bench.
 //!
-//! Also asserts the determinism contract inline: `gemm_i8` must be
-//! bit-identical between a single-thread and a full-pool run.
-//!
-//! Set `QN_SMOKE=1` for a CI-sized configuration, `QN_SIMD={scalar,sse2,
-//! avx2}` to pin the dispatch level.
+//! Fails unless every weight shape shrinks at least 3.5× and both int8
+//! sessions stay within 0.5 points of f32 top-1. Writes `BENCH_quant.json`;
+//! set `QN_SIMD={scalar,sse2,avx2}` to pin the dispatch level.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qn_bench::time_mean;
+mod common;
+
 use qn_core::NeuronSpec;
 use qn_data::{ImageDataset, ImageDatasetConfig};
 use qn_experiments::{
     evaluate_classifier, evaluate_classifier_session, train_classifier, TrainConfig,
 };
 use qn_models::{InferenceSession, NeuronPlacement, ResNet, ResNetConfig};
-use qn_tensor::{gemm_i8, MatMut, QTensor, Rng, Tensor};
+use qn_tensor::{QTensor, Rng, Tensor};
 
-/// ResNet-20/CIFAR im2col products `[B·OH·OW, C·K²] × [OC, C·K²]ᵀ`, the
-/// same shapes `BENCH_gemm.json` reports for the f32 core.
-const SHAPES: [(&str, usize, usize, usize); 3] = [
-    ("resnet20_stage1_im2col", 1024, 144, 16),
-    ("resnet20_stage2_im2col", 256, 288, 32),
-    ("resnet20_stage3_im2col", 64, 576, 64),
+/// ResNet-20/CIFAR conv weights `[OC, C·K²]`, as in the `gemm` bench's
+/// im2col shapes.
+const WEIGHTS: [(&str, usize, usize); 3] = [
+    ("resnet20_stage1_im2col", 16, 144),
+    ("resnet20_stage2_im2col", 32, 288),
+    ("resnet20_stage3_im2col", 64, 576),
 ];
 
-fn resnet20(neuron: NeuronSpec) -> ResNet {
+fn resnet(depth: usize, neuron: NeuronSpec, seed: u64) -> ResNet {
     ResNet::cifar(ResNetConfig {
-        depth: 20,
+        depth,
         base_width: 8,
         num_classes: 10,
         neuron,
         placement: NeuronPlacement::All,
-        seed: 5,
+        seed,
     })
 }
 
-fn bench(c: &mut Criterion) {
-    let smoke = std::env::var("QN_SMOKE").map(|v| v == "1").unwrap_or(false);
-    let samples = if smoke { 5 } else { 30 };
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+fn main() {
+    let mut bench = common::Bench::new("quant");
+    let samples = if bench.smoke { 5 } else { 30 };
     let mut rng = Rng::seed_from(91);
 
-    // -- weight memory + gemm latency at the im2col shapes ----------------
-    let mut mem_records = Vec::new();
-    let mut gemm_records = Vec::new();
-    for &(label, m, k, n) in &SHAPES {
-        let a = Tensor::randn(&[m, k], &mut rng); // activations (im2col rows)
-        let w = Tensor::randn(&[n, k], &mut rng); // weights, row-major [OC, C·K²]
-
-        let qw = QTensor::quantize(&w);
+    // -- weight memory -----------------------------------------------------
+    let mut reductions = Vec::new();
+    for &(label, rows, cols) in &WEIGHTS {
+        let qw = QTensor::quantize(&Tensor::randn(&[rows, cols], &mut rng));
         let reduction = qw.f32_bytes() as f64 / qw.weight_bytes() as f64;
-        mem_records.push(format!(
-            "    {{\n      \"shape\": \"{label}\",\n      \"rows\": {n},\n      \"cols\": {k},\n      \
-\"f32_bytes\": {},\n      \"int8_bytes\": {},\n      \"reduction\": {reduction:.3}\n    }}",
-            qw.f32_bytes(),
-            qw.weight_bytes(),
-        ));
-
-        let qa = QTensor::quantize(&a);
-        let run_i8 = || {
-            let mut out = vec![0.0f32; m * n];
-            gemm_i8(
-                MatMut::new(&mut out, m, n),
-                qa.mat(),
-                qw.mat().transpose(),
-                qa.scales(),
-                qw.scales(),
-            );
-            out
-        };
-        // determinism contract: single-thread and full-pool runs agree bitwise
-        let full_pool = run_i8();
-        let one_thread = qn_parallel::with_max_threads(1, run_i8);
-        assert!(
-            full_pool
-                .iter()
-                .zip(&one_thread)
-                .all(|(x, y)| x.to_bits() == y.to_bits()),
-            "{label}: gemm_i8 must be bit-identical across thread counts"
-        );
-
-        let flops = 2.0 * m as f64 * n as f64 * k as f64;
-        let f32_1t = qn_parallel::with_max_threads(1, || {
-            time_mean(samples, || {
-                std::hint::black_box(a.matmul_transb(&w).data()[0]);
-            })
-        });
-        let i8_1t = qn_parallel::with_max_threads(1, || {
-            time_mean(samples, || {
-                std::hint::black_box(run_i8()[0]);
-            })
-        });
-        let (gf_f32, gf_i8) = (flops / f32_1t / 1e9, flops / i8_1t / 1e9);
-        let speedup = gf_i8 / gf_f32;
-        eprintln!(
-            "quant/{label} ({m}x{k}x{n}): f32 exact 1t {gf_f32:.2} GFLOP/s, \
-             int8 1t {gf_i8:.2} GFLOP/s ({speedup:.2}x), mem {reduction:.2}x",
-        );
-        gemm_records.push(format!(
-            "    {{\n      \"shape\": \"{label}\",\n      \"m\": {m},\n      \"k\": {k},\n      \
-\"n\": {n},\n      \"f32_exact_1t_gflops\": {gf_f32:.3},\n      \
-\"int8_1t_gflops\": {gf_i8:.3},\n      \"speedup\": {speedup:.3},\n      \
-\"bit_identical_across_threads\": true\n    }}"
-        ));
+        bench
+            .record(format!("weight_memory/{label}"), None)
+            .metric("f32_bytes", qw.f32_bytes() as f64)
+            .metric("int8_bytes", qw.weight_bytes() as f64)
+            .metric("reduction", reduction);
+        reductions.push((label, reduction));
     }
 
-    // -- end-to-end predict latency on ResNet-20 --------------------------
-    let mut model_records = Vec::new();
+    // -- predict latency on ResNet-20 --------------------------------------
     let x = Tensor::randn(&[8, 3, 16, 16], &mut rng);
     for (name, neuron) in [
         ("linear", NeuronSpec::Linear),
         ("ours_k9", NeuronSpec::EfficientQuadratic { rank: 9 }),
     ] {
-        let net = resnet20(neuron);
-        let mut f32_session = InferenceSession::new(&net);
+        let net = resnet(20, neuron, 5);
         // calibrated = the deployment configuration (frozen activation
         // scales, no per-row absmax pass); dynamic = the fallback tier
-        let mut cal_session =
-            InferenceSession::quantized_calibrated(&net, [x.clone()]).expect("ResNet quantizes");
-        let mut dyn_session = InferenceSession::quantized(&net).expect("ResNet quantizes");
-        // warm the arenas
-        std::hint::black_box(f32_session.predict_batch(&x).sum());
-        std::hint::black_box(cal_session.predict_batch(&x).sum());
-        std::hint::black_box(dyn_session.predict_batch(&x).sum());
-        let f32_1t = qn_parallel::with_max_threads(1, || {
-            time_mean(samples, || {
-                std::hint::black_box(f32_session.predict_batch(&x).sum());
-            })
-        });
-        let i8_1t = qn_parallel::with_max_threads(1, || {
-            time_mean(samples, || {
-                std::hint::black_box(cal_session.predict_batch(&x).sum());
-            })
-        });
-        let i8_dyn_1t = qn_parallel::with_max_threads(1, || {
-            time_mean(samples, || {
-                std::hint::black_box(dyn_session.predict_batch(&x).sum());
-            })
-        });
-        let speedup = f32_1t / i8_1t;
-        eprintln!(
-            "quant/resnet20_{name} predict[8x3x16x16]: f32 exact 1t {:.2} ms, \
-             int8 calibrated 1t {:.2} ms ({speedup:.2}x), int8 dynamic 1t {:.2} ms ({:.2}x)",
-            f32_1t * 1e3,
-            i8_1t * 1e3,
-            i8_dyn_1t * 1e3,
-            f32_1t / i8_dyn_1t,
-        );
-        model_records.push(format!(
-            "    {{\n      \"model\": \"resnet20_{name}\",\n      \"batch\": 8,\n      \
-\"f32_exact_1t_ms\": {:.4},\n      \"int8_calibrated_1t_ms\": {:.4},\n      \
-\"int8_dynamic_1t_ms\": {:.4},\n      \"speedup\": {speedup:.3},\n      \
-\"speedup_dynamic\": {:.3}\n    }}",
-            f32_1t * 1e3,
-            i8_1t * 1e3,
-            i8_dyn_1t * 1e3,
-            f32_1t / i8_dyn_1t,
-        ));
+        let sessions = [
+            ("f32", InferenceSession::new(&net)),
+            (
+                "int8_calibrated",
+                InferenceSession::quantized_calibrated(&net, [x.clone()])
+                    .expect("ResNet quantizes"),
+            ),
+            (
+                "int8_dynamic",
+                InferenceSession::quantized(&net).expect("ResNet quantizes"),
+            ),
+        ];
+        let mut f32_s = 0.0;
+        for (tier, mut session) in sessions {
+            let r = bench.time(
+                format!("predict_b8/resnet20_{name}/{tier}"),
+                1,
+                samples,
+                || {
+                    std::hint::black_box(session.predict_batch(&x).sum());
+                },
+            );
+            if tier == "f32" {
+                f32_s = r.median();
+            } else {
+                let t = r.median();
+                r.metric("speedup_vs_f32", f32_s / t);
+            }
+        }
     }
 
-    // -- top-1 accuracy drift on the classifier evaluation ----------------
+    // -- top-1 drift on the classifier evaluation --------------------------
     let data = ImageDataset::generate(ImageDatasetConfig {
         classes: 10,
         resolution: 16,
-        train_per_class: if smoke { 30 } else { 80 },
+        train_per_class: if bench.smoke { 30 } else { 80 },
         test_per_class: 50,
         seed: 7,
         variability: 0.5,
     });
-    let net = ResNet::cifar(ResNetConfig {
-        depth: 8,
-        base_width: 8,
-        num_classes: data.classes,
-        neuron: NeuronSpec::EfficientQuadratic { rank: 3 },
-        placement: NeuronPlacement::All,
-        seed: 11,
-    });
-    let train = train_classifier(
+    let net = resnet(8, NeuronSpec::EfficientQuadratic { rank: 3 }, 11);
+    train_classifier(
         &net,
         &data,
         TrainConfig {
-            epochs: if smoke { 2 } else { 5 },
+            epochs: if bench.smoke { 2 } else { 5 },
             ..TrainConfig::default()
         },
     );
-    let f32_top1 = evaluate_classifier(&net, &data.test_images, &data.test_labels, 64);
-    let mut q_session = InferenceSession::quantized(&net).expect("quantizes");
-    let int8_top1 =
-        evaluate_classifier_session(&mut q_session, &data.test_images, &data.test_labels, 64);
-    let drift = (f32_top1 - int8_top1).abs();
-    eprintln!(
-        "quant/accuracy: f32 top-1 {:.2}% vs int8 top-1 {:.2}% (drift {:.2} pts, \
-         train acc {:.2}%)",
-        f32_top1 * 100.0,
-        int8_top1 * 100.0,
-        drift * 100.0,
-        train.test_accuracy * 100.0,
-    );
-    let accuracy = format!(
-        "{{\n    \"dataset\": \"synthetic-10c-16px\",\n    \"test_images\": {},\n    \
-\"f32_top1\": {f32_top1:.4},\n    \"int8_top1\": {int8_top1:.4},\n    \
-\"drift_points\": {:.4}\n  }}",
-        data.test_labels.len(),
-        drift * 100.0,
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"quant\",\n  \"smoke\": {smoke},\n  \"samples\": {samples},\n  \
-\"host_cpus\": {host_cpus},\n  \"simd\": \"{simd}\",\n  \"weight_memory\": [\n{}\n  ],\n  \
-\"gemm\": [\n{}\n  ],\n  \"model\": [\n{}\n  ],\n  \"accuracy\": {accuracy}\n}}\n",
-        mem_records.join(",\n"),
-        gemm_records.join(",\n"),
-        model_records.join(",\n"),
-        simd = qn_simd::SimdLevel::active().name(),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_quant.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        eprintln!("recorded {path}");
+    let (images, labels) = (&data.test_images, &data.test_labels);
+    let f32_top1 = evaluate_classifier(&net, images, labels, 64);
+    let calibration = (0..2).map(|i| data.train_images.slice_axis(0, 64 * i, 64 * (i + 1)));
+    let sessions = [
+        ("int8_dynamic", InferenceSession::quantized(&net)),
+        (
+            "int8_calibrated",
+            InferenceSession::quantized_calibrated(&net, calibration),
+        ),
+    ];
+    let mut drifts = Vec::new();
+    for (tier, session) in sessions {
+        let mut session = session.expect("the quadratic ResNet quantizes");
+        let top1 = evaluate_classifier_session(&mut session, images, labels, 64);
+        let drift_points = 100.0 * (f32_top1 - top1).abs() as f64;
+        bench
+            .record(format!("accuracy/{tier}"), None)
+            .metric("test_images", labels.len() as f64)
+            .metric("f32_top1", f32_top1 as f64)
+            .metric("int8_top1", top1 as f64)
+            .metric("drift_points", drift_points);
+        drifts.push((tier, drift_points));
     }
+    bench.write();
 
-    let mut group = c.benchmark_group("quant");
-    group.sample_size(10);
-    let net = resnet20(NeuronSpec::EfficientQuadratic { rank: 9 });
-    let x = Tensor::randn(&[1, 3, 16, 16], &mut rng);
-    let mut f32_session = InferenceSession::new(&net);
-    group.bench_function(BenchmarkId::new("predict", "f32_exact"), |b| {
-        b.iter(|| std::hint::black_box(f32_session.predict_batch(&x).sum()))
-    });
-    let mut q_session = InferenceSession::quantized(&net).expect("quantizes");
-    group.bench_function(BenchmarkId::new("predict", "int8"), |b| {
-        b.iter(|| std::hint::black_box(q_session.predict_batch(&x).sum()))
-    });
-    group.finish();
+    for (label, reduction) in reductions {
+        assert!(
+            reduction >= 3.5,
+            "{label}: weight memory shrank only {reduction:.2}x (< 3.5x)"
+        );
+    }
+    for (tier, drift) in drifts {
+        assert!(drift <= 0.5, "{tier}: top-1 drift {drift:.2} pts > 0.5");
+    }
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

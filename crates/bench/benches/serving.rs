@@ -1,4 +1,4 @@
-//! `qn-serve-bench`: loopback load generator for the serving front-end.
+//! Loopback load generator for the serving front-end.
 //!
 //! Starts an in-process `qn-serve` server fronting a small
 //! quadratic-neuron ResNet, then drives it over real loopback TCP at a
@@ -8,14 +8,19 @@
 //! the reported latency honest and exercises the 429 backpressure path at
 //! the top of the ladder).
 //!
-//! Output: `BENCH_serving.json` at the repo root with per-step p50/p90/
-//! p99/p999 latency, achieved throughput, shed counts, and the server's
-//! flushed-batch-size histogram. `QN_SMOKE=1` shrinks the ladder for CI.
+//! Writes `BENCH_serving.json`: one record per ladder step (client-side
+//! latency of the successful requests, achieved throughput, shed and error
+//! counts) and a summary record with the flushed-batch-size histogram and
+//! the flush-by-size and flush-by-deadline counts. Fails on any transport
+//! error or 5xx other than a 503 shed, or if no batch was flushed.
 
+mod common;
+
+use qn_bench::{quantile, Stats};
 use qn_core::NeuronSpec;
 use qn_models::{NeuronPlacement, ResNet, ResNetConfig};
 use qn_nn::Module;
-use qn_serve::{BatchConfig, LatencyHistogram, ServeConfig, ServerBuilder};
+use qn_serve::{BatchConfig, ServeConfig, ServerBuilder};
 use qn_tensor::Rng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -25,45 +30,36 @@ use std::time::{Duration, Instant};
 
 const SAMPLE_SHAPE: [usize; 3] = [3, 32, 32];
 const ROUTE: &str = "resnet8-eq2";
+const MAX_BATCH: usize = 32;
+const MAX_DELAY: Duration = Duration::from_millis(2);
 
-struct StepResult {
-    offered_qps: u64,
-    duration: Duration,
-    sent: u64,
-    ok: u64,
+/// What the clients of one ladder step saw.
+#[derive(Default)]
+struct Tally {
+    /// Seconds from send to response of each 200.
+    latencies: Vec<f64>,
+    /// 429 and 503 answers.
     rejected: u64,
+    /// Transport errors and other statuses.
     errors: u64,
-    elapsed: Duration,
-    latency: qn_serve::HistogramSnapshot,
 }
 
-/// Per-client worker: pulls globally-paced tickets, fires requests over a
-/// persistent keep-alive connection, records client-side latency.
-#[allow(clippy::too_many_arguments)]
+/// Per-client worker: pulls globally-paced tickets and fires requests over a
+/// persistent keep-alive connection.
 fn client_loop(
     addr: SocketAddr,
-    body: &[u8],
+    request: &[u8],
     ticket: &AtomicU64,
     start: Instant,
     interval: Duration,
     total: u64,
-    hist: &LatencyHistogram,
-    ok: &AtomicU64,
-    rejected: &AtomicU64,
-    errors: &AtomicU64,
-) {
+) -> Tally {
+    let mut tally = Tally::default();
     let mut stream: Option<TcpStream> = None;
-    let head = format!(
-        "POST /v1/models/{ROUTE}/predict HTTP/1.1\r\nHost: bench\r\n\
-         Content-Type: application/octet-stream\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    let mut request = head.into_bytes();
-    request.extend_from_slice(body);
     loop {
         let i = ticket.fetch_add(1, Ordering::Relaxed);
         if i >= total {
-            return;
+            return tally;
         }
         // open-loop pacing: never send early, send immediately if behind
         let target = start + mul_interval(interval, i);
@@ -72,18 +68,10 @@ fn client_loop(
             std::thread::sleep(target - now);
         }
         let t0 = Instant::now();
-        let status = request_once(&mut stream, addr, &request);
-        match status {
-            Some(200) => {
-                hist.record(t0.elapsed().as_nanos() as u64);
-                ok.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(429) | Some(503) => {
-                rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
+        match request_once(&mut stream, addr, request) {
+            Some(200) => tally.latencies.push(t0.elapsed().as_secs_f64()),
+            Some(429) | Some(503) => tally.rejected += 1,
+            _ => tally.errors += 1,
         }
     }
 }
@@ -166,75 +154,43 @@ fn read_response(s: &mut TcpStream) -> Option<u16> {
     Some(status)
 }
 
+/// Offers `qps` for `duration` from `clients` threads; returns the merged
+/// tally, the requests sent and the wall time taken.
 fn run_step(
     addr: SocketAddr,
-    body: &[u8],
-    offered_qps: u64,
+    request: &[u8],
+    qps: u64,
     duration: Duration,
     clients: usize,
-) -> StepResult {
-    let total = (offered_qps as f64 * duration.as_secs_f64()).round() as u64;
-    let interval = Duration::from_nanos(1_000_000_000 / offered_qps.max(1));
-    let hist = LatencyHistogram::new();
+) -> (Tally, u64, Duration) {
+    let total = (qps as f64 * duration.as_secs_f64()).round() as u64;
+    let interval = Duration::from_nanos(1_000_000_000 / qps.max(1));
     let ticket = AtomicU64::new(0);
-    let ok = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
-    let errors = AtomicU64::new(0);
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..clients {
-            scope.spawn(|| {
-                client_loop(
-                    addr, body, &ticket, start, interval, total, &hist, &ok, &rejected, &errors,
-                );
-            });
+    let tally = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|_| scope.spawn(|| client_loop(addr, request, &ticket, start, interval, total)))
+            .collect();
+        let mut merged = Tally::default();
+        for h in handles {
+            let t = h.join().expect("client thread panicked");
+            merged.latencies.extend(t.latencies);
+            merged.rejected += t.rejected;
+            merged.errors += t.errors;
         }
+        merged
     });
-    StepResult {
-        offered_qps,
-        duration,
-        sent: total,
-        ok: ok.load(Ordering::Relaxed),
-        rejected: rejected.load(Ordering::Relaxed),
-        errors: errors.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-        latency: hist.snapshot(),
-    }
-}
-
-fn step_json(r: &StepResult) -> String {
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let achieved = r.ok as f64 / r.elapsed.as_secs_f64().max(1e-9);
-    format!(
-        "{{\"offered_qps\":{},\"duration_s\":{:.3},\"sent\":{},\"ok\":{},\
-         \"rejected\":{},\"errors\":{},\"achieved_qps\":{:.2},\
-         \"p50_ms\":{:.4},\"p90_ms\":{:.4},\"p99_ms\":{:.4},\
-         \"p999_ms\":{:.4},\"max_ms\":{:.4},\"mean_ms\":{:.4}}}",
-        r.offered_qps,
-        r.duration.as_secs_f64(),
-        r.sent,
-        r.ok,
-        r.rejected,
-        r.errors,
-        achieved,
-        ms(r.latency.quantile(0.50)),
-        ms(r.latency.quantile(0.90)),
-        ms(r.latency.quantile(0.99)),
-        ms(r.latency.quantile(0.999)),
-        ms(r.latency.max()),
-        r.latency.mean() / 1e6,
-    )
+    (tally, total, start.elapsed())
 }
 
 fn main() {
-    let smoke = std::env::var("QN_SMOKE").is_ok();
-    let (steps, step_duration, clients): (&[u64], Duration, usize) = if smoke {
+    let mut bench = common::Bench::new("serving");
+    let (steps, step_duration, clients): (&[u64], Duration, usize) = if bench.smoke {
         (&[50, 200], Duration::from_millis(600), 4)
     } else {
         (&[25, 50, 100, 200, 400, 800], Duration::from_secs(4), 8)
     };
 
-    eprintln!("qn-serve-bench: building {ROUTE} and starting the server");
     let model: Arc<dyn Module> = Arc::new(ResNet::cifar(ResNetConfig {
         depth: 8,
         base_width: 4,
@@ -252,8 +208,8 @@ fn main() {
         &SAMPLE_SHAPE,
         model,
         BatchConfig {
-            max_batch: 32,
-            max_delay: Duration::from_millis(2),
+            max_batch: MAX_BATCH,
+            max_delay: MAX_DELAY,
             queue_capacity: 128,
             workers: 1,
         },
@@ -269,46 +225,60 @@ fn main() {
     for _ in 0..elems {
         body.extend_from_slice(&rng.uniform(-1.0, 1.0).to_le_bytes());
     }
+    let mut request = format!(
+        "POST /v1/models/{ROUTE}/predict HTTP/1.1\r\nHost: bench\r\n\
+         Content-Type: application/octet-stream\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(&body);
 
     // warmup: populate arenas/pools so step 1 doesn't measure cold allocs
-    let warm = run_step(addr, &body, 20, Duration::from_millis(300), 2);
-    eprintln!("warmup: {} ok / {} sent", warm.ok, warm.sent);
+    run_step(addr, &request, 20, Duration::from_millis(300), 2);
 
-    let mut results = Vec::new();
+    let mut errors = 0;
     for &qps in steps {
-        let r = run_step(addr, &body, qps, step_duration, clients);
-        eprintln!(
-            "offered {:>5} qps: achieved {:>8.1} qps, ok {} rejected {} errors {}, p50 {:.2} ms p99 {:.2} ms",
-            qps,
-            r.ok as f64 / r.elapsed.as_secs_f64(),
-            r.ok,
-            r.rejected,
-            r.errors,
-            r.latency.quantile(0.5) as f64 / 1e6,
-            r.latency.quantile(0.99) as f64 / 1e6,
+        let (mut tally, sent, elapsed) = run_step(addr, &request, qps, step_duration, clients);
+        tally.latencies.sort_by(f64::total_cmp);
+        let lat = &tally.latencies;
+        let ok = lat.len();
+        let r = bench.record(
+            format!("{ROUTE}/offered_{qps}qps"),
+            (ok > 0).then(|| Stats::from_samples(lat.clone())),
         );
-        results.push(r);
+        r.metric("offered_qps", qps as f64)
+            .metric("clients", clients as f64)
+            .metric("sent", sent as f64)
+            .metric("ok", ok as f64)
+            .metric("rejected", tally.rejected as f64)
+            .metric("errors", tally.errors as f64)
+            .metric("achieved_qps", ok as f64 / elapsed.as_secs_f64());
+        if ok > 0 {
+            r.metric("p90_ms", quantile(lat, 0.90) * 1e3)
+                .metric("p99_ms", quantile(lat, 0.99) * 1e3)
+                .metric("max_ms", lat[ok - 1] * 1e3);
+        }
+        errors += tally.errors;
     }
 
-    let dist = server.route_batch_dist(ROUTE).unwrap_or_default();
-    let dist_json: Vec<String> = dist
-        .iter()
-        .map(|(size, count)| format!("\"{size}\":{count}"))
-        .collect();
-    let steps_json: Vec<String> = results.iter().map(step_json).collect();
-    let total_errors: u64 = results.iter().map(|r| r.errors).sum();
-    let json = format!(
-        "{{\n  \"bench\": \"serving\",\n  \"model\": \"{ROUTE}\",\n  \"sample_shape\": [3,32,32],\n  \
-         \"smoke\": {smoke},\n  \"clients\": {clients},\n  \"max_batch\": 32,\n  \"max_delay_ms\": 2,\n  \
-         \"steps\": [\n    {}\n  ],\n  \"batch_size_dist\": {{{}}},\n  \"server_metrics\": {}\n}}\n",
-        steps_json.join(",\n    "),
-        dist_json.join(","),
-        server.metrics_json().trim_end(),
-    );
+    let metrics = server.route_metrics(ROUTE).expect("the route exists");
+    let r = bench.record(format!("{ROUTE}/batching"), None);
+    r.metric("max_batch", MAX_BATCH as f64)
+        .metric("max_delay_ms", MAX_DELAY.as_secs_f64() * 1e3)
+        .metric(
+            "flush_by_size",
+            metrics.flush_size.load(Ordering::Relaxed) as f64,
+        )
+        .metric(
+            "flush_by_deadline",
+            metrics.flush_deadline.load(Ordering::Relaxed) as f64,
+        );
+    let dist = metrics.batch_size_dist();
+    for &(size, count) in &dist {
+        r.metric(format!("batch_size_{size}"), count as f64);
+    }
     server.shutdown();
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    std::fs::write(path, &json).expect("write BENCH_serving.json");
-    eprintln!("wrote {path}");
-    assert_eq!(total_errors, 0, "load generator saw transport/5xx errors");
+    bench.write();
+    assert_eq!(errors, 0, "the load generator saw transport or 5xx errors");
+    assert!(!dist.is_empty(), "the server flushed no batches");
 }

@@ -1,136 +1,54 @@
 //! Dual-mode execution benchmark: the taped forward pass ([`Graph`]) vs the
-//! tape-free inference path ([`InferenceSession`]) on the paper's quadratic
-//! ResNet.
-//!
-//! Besides the criterion timings, this bench measures the tape/eager
-//! speedup directly and records it in `BENCH_inference.json` at the repo
-//! root. Set `QN_SMOKE=1` for a CI-sized configuration.
+//! tape-free inference path ([`InferenceSession`]) on the paper's linear
+//! and quadratic ResNets, recorded with their speedup in
+//! `BENCH_inference.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+mod common;
+
 use qn_autograd::Graph;
 use qn_core::NeuronSpec;
 use qn_models::{InferenceSession, NeuronPlacement, ResNet, ResNetConfig};
 use qn_nn::Module;
 use qn_tensor::{Rng, Tensor};
-use std::time::Instant;
 
-struct Case {
-    name: &'static str,
-    net: ResNet,
-    input: Tensor,
-}
-
-fn cases(smoke: bool) -> Vec<Case> {
+fn main() {
+    let mut bench = common::Bench::new("inference");
+    let samples = if bench.smoke { 3 } else { 20 };
+    let (depth, width, res, rank) = if bench.smoke {
+        (8, 4, 12, 3)
+    } else {
+        (20, 8, 16, 9)
+    };
+    let pool = qn_parallel::pool_threads();
     let mut rng = Rng::seed_from(23);
-    let (depth, width, res, rank) = if smoke { (8, 4, 12, 3) } else { (20, 8, 16, 9) };
-    let build = |neuron: NeuronSpec| {
-        ResNet::cifar(ResNetConfig {
+    for (name, neuron) in [
+        ("linear", NeuronSpec::Linear),
+        ("ours_quadratic", NeuronSpec::EfficientQuadratic { rank }),
+    ] {
+        let net = ResNet::cifar(ResNetConfig {
             depth,
             base_width: width,
             num_classes: 10,
             neuron,
             placement: NeuronPlacement::All,
             seed: 29,
-        })
-    };
-    vec![
-        Case {
-            name: "linear",
-            net: build(NeuronSpec::Linear),
-            input: Tensor::randn(&[1, 3, res, res], &mut rng),
-        },
-        Case {
-            name: "ours_quadratic",
-            net: build(NeuronSpec::EfficientQuadratic { rank }),
-            input: Tensor::randn(&[1, 3, res, res], &mut rng),
-        },
-    ]
-}
-
-/// Mean seconds per call of `f` over `samples` timed runs (one warmup).
-fn time_mean(samples: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    for _ in 0..samples {
-        f();
-    }
-    start.elapsed().as_secs_f64() / samples as f64
-}
-
-fn bench(c: &mut Criterion) {
-    let smoke = std::env::var("QN_SMOKE").map(|v| v == "1").unwrap_or(false);
-    let samples = if smoke { 3 } else { 20 };
-    let cases = cases(smoke);
-
-    // direct measurement for the recorded speedup
-    let mut records = Vec::new();
-    for case in &cases {
-        let taped = time_mean(samples, || {
-            let mut g = Graph::new();
-            let xv = g.leaf(case.input.clone());
-            let y = case.net.forward(&mut g, xv);
-            std::hint::black_box(g.value(y).sum());
         });
-        let mut session = InferenceSession::new(&case.net);
-        let eager = time_mean(samples, || {
-            std::hint::black_box(session.predict_batch(&case.input).sum());
-        });
-        let speedup = taped / eager;
-        eprintln!(
-            "tape_vs_eager/{}: taped {:.3} ms, eager {:.3} ms, speedup {:.2}x",
-            case.name,
-            taped * 1e3,
-            eager * 1e3,
-            speedup
-        );
-        records.push(format!(
-            "    {{\n      \"model\": \"resnet{}_{}\",\n      \"input\": {:?},\n      \
-\"taped_ms\": {:.4},\n      \"eager_ms\": {:.4},\n      \"speedup\": {:.3}\n    }}",
-            case.net.config().depth,
-            case.name,
-            case.input.shape().dims(),
-            taped * 1e3,
-            eager * 1e3,
-            speedup
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"tape_vs_eager\",\n  \"smoke\": {},\n  \"samples\": {},\n  \
-\"results\": [\n{}\n  ]\n}}\n",
-        smoke,
-        samples,
-        records.join(",\n")
-    );
-    if smoke {
-        eprintln!("smoke run: leaving the committed BENCH_inference.json untouched");
-    } else {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_inference.json");
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("could not write {path}: {e}");
-        } else {
-            eprintln!("recorded {path}");
-        }
-    }
-
-    // criterion timings for both paths
-    let mut group = c.benchmark_group("tape_vs_eager");
-    group.sample_size(samples);
-    for case in &cases {
-        group.bench_with_input(BenchmarkId::new("taped", case.name), case, |b, case| {
-            b.iter(|| {
+        let input = Tensor::randn(&[1, 3, res, res], &mut rng);
+        let model = format!("resnet{depth}_{name}");
+        let taped = bench
+            .time(format!("taped/{model}"), pool, samples, || {
                 let mut g = Graph::new();
-                let xv = g.leaf(case.input.clone());
-                let y = case.net.forward(&mut g, xv);
-                std::hint::black_box(g.value(y).sum())
+                let xv = g.leaf(input.clone());
+                let y = net.forward(&mut g, xv);
+                std::hint::black_box(g.value(y).sum());
             })
+            .median();
+        let mut session = InferenceSession::new(&net);
+        let r = bench.time(format!("eager/{model}"), pool, samples, || {
+            std::hint::black_box(session.predict_batch(&input).sum());
         });
-        let mut session = InferenceSession::new(&case.net);
-        group.bench_with_input(BenchmarkId::new("eager", case.name), case, |b, case| {
-            b.iter(|| std::hint::black_box(session.predict_batch(&case.input).sum()))
-        });
+        let eager = r.median();
+        r.metric("speedup_vs_taped", taped / eager);
     }
-    group.finish();
+    bench.write();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -1,24 +1,28 @@
 //! Batched-inference throughput scaling across the `qn-parallel` pool:
-//! batch-32 quadratic ResNet-20 `predict_batch` at 1/2/4/8 threads.
+//! batch-32 quadratic ResNet-20 `predict_batch` at 1/2/4/8 threads,
+//! recorded in `BENCH_throughput.json`.
 //!
-//! Besides the criterion timings, the bench measures samples/sec per thread
-//! count directly, asserts the outputs are bit-identical across thread
-//! counts (the workspace's determinism contract), and records everything in
-//! `BENCH_throughput.json` at the repo root — including the host's actual
-//! core count, since speedups are bounded by physical parallelism. Set
-//! `QN_SMOKE=1` for a CI-sized configuration.
+//! Fails unless the outputs are bit-identical across thread counts (the
+//! workspace's determinism contract), and — on a full run on a host with at
+//! least 4 CPUs — unless 4 threads reach 2.5× the 1-thread throughput.
+//! Thread counts beyond the host's CPUs only add context-switch overhead,
+//! so read every record next to its `host.cpus`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qn_bench::time_mean;
+mod common;
+
 use qn_core::NeuronSpec;
 use qn_models::{InferenceSession, NeuronPlacement, ResNet, ResNetConfig};
 use qn_tensor::{Rng, Tensor};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn build(smoke: bool) -> (ResNet, Tensor) {
-    let mut rng = Rng::seed_from(41);
-    let (depth, width, res, rank, batch) = if smoke {
+fn main() {
+    // Size the pool for the largest measured configuration before first use;
+    // each measurement then caps the effective count.
+    qn_parallel::configure_pool_threads(*THREAD_COUNTS.iter().max().expect("non-empty"));
+    let mut bench = common::Bench::new("throughput");
+    let samples = if bench.smoke { 3 } else { 15 };
+    let (depth, width, res, rank, batch) = if bench.smoke {
         (8, 4, 12, 3, 8)
     } else {
         (20, 8, 16, 9, 32)
@@ -31,123 +35,41 @@ fn build(smoke: bool) -> (ResNet, Tensor) {
         placement: NeuronPlacement::All,
         seed: 43,
     });
-    let input = Tensor::randn(&[batch, 3, res, res], &mut rng);
-    (net, input)
-}
-
-fn bench(c: &mut Criterion) {
-    // Size the pool for the largest measured configuration before first use;
-    // `with_max_threads` then selects the effective count per measurement.
-    qn_parallel::configure_pool_threads(*THREAD_COUNTS.iter().max().expect("non-empty"));
-    let smoke = std::env::var("QN_SMOKE").map(|v| v == "1").unwrap_or(false);
-    let samples = if smoke { 3 } else { 15 };
-    let (net, input) = build(smoke);
-    let batch = input.shape().dim(0);
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let input = Tensor::randn(&[batch, 3, res, res], &mut Rng::seed_from(41));
 
     let mut session = InferenceSession::new(&net);
     let reference = qn_parallel::with_max_threads(1, || session.predict_batch(&input));
-
-    let mut records = Vec::new();
-    let mut base_throughput = 0.0f64;
-    let mut speedup_at = [0.0f64; THREAD_COUNTS.len()];
-    for (ti, &threads) in THREAD_COUNTS.iter().enumerate() {
-        let (secs, output) = qn_parallel::with_max_threads(threads, || {
-            let secs = time_mean(samples, || {
-                std::hint::black_box(session.predict_batch(&input).sum());
-            });
-            (secs, session.predict_batch(&input))
-        });
+    let mut base = 0.0;
+    let mut speedup_4t = 0.0;
+    for threads in THREAD_COUNTS {
+        let output = qn_parallel::with_max_threads(threads, || session.predict_batch(&input));
         assert!(
             output.bit_identical(&reference),
             "outputs must be bit-identical at {threads} threads"
         );
-        let throughput = batch as f64 / secs;
+        let case = format!("predict_batch{batch}/resnet{depth}_quadratic/{threads}t");
+        let r = bench.time(case, threads, samples, || {
+            std::hint::black_box(session.predict_batch(&input).sum());
+        });
+        let t = r.median();
         if threads == 1 {
-            base_throughput = throughput;
+            base = t;
         }
-        let speedup = throughput / base_throughput;
-        speedup_at[ti] = speedup;
-        eprintln!(
-            "throughput/{threads}t: {:.3} ms/batch, {:.1} samples/s, speedup {:.2}x, bit-identical",
-            secs * 1e3,
-            throughput,
-            speedup
-        );
-        records.push(format!(
-            "    {{\n      \"threads\": {threads},\n      \"batch_ms\": {:.4},\n      \
-\"samples_per_sec\": {:.2},\n      \"speedup_vs_1\": {:.3},\n      \
-\"bit_identical\": true\n    }}",
-            secs * 1e3,
-            throughput,
-            speedup
-        ));
+        if threads == 4 {
+            speedup_4t = base / t;
+        }
+        r.metric("samples_per_s", batch as f64 / t)
+            .metric("speedup_vs_1t", base / t);
     }
-    // Scaling assertion, gated on physical parallelism: thread counts
-    // beyond `host_cpus` only add context-switch overhead (the committed
-    // single-core numbers show 2 threads at ~0.84x of 1 thread for exactly
-    // that reason), so the ≥2.5x-at-4-threads target is only meaningful —
-    // and only enforced — on hosts with at least 4 cores.
-    let speedup_4t = speedup_at[THREAD_COUNTS
-        .iter()
-        .position(|&t| t == 4)
-        .expect("4 threads is a measured configuration")];
-    if smoke {
-        eprintln!("throughput: smoke run, scaling assertion skipped");
-    } else if host_cpus < 4 {
-        eprintln!(
-            "throughput: host has {host_cpus} CPU(s) < 4 — skipping the \
-             >=2.5x@4t scaling assertion (thread counts beyond the core \
-             count cannot speed anything up)"
-        );
+    bench.write();
+
+    let cpus = common::host().cpus;
+    if bench.smoke || cpus < 4 {
+        eprintln!("throughput: smoke run or {cpus} CPU(s) < 4, the >=2.5x@4t assertion is skipped");
     } else {
         assert!(
             speedup_4t >= 2.5,
-            "4-thread speedup {speedup_4t:.2}x below the 2.5x target on a \
-             {host_cpus}-core host"
+            "4-thread speedup {speedup_4t:.2}x below the 2.5x target on a {cpus}-CPU host"
         );
     }
-    let note = if host_cpus < 4 {
-        format!(
-            "host has {host_cpus} CPU(s): speedups at thread counts beyond the \
-             core count measure scheduling overhead, not scaling; the \
-             >=2.5x@4t assertion is skipped on this host"
-        )
-    } else {
-        format!("host has {host_cpus} CPUs: >=2.5x@4t assertion enforced")
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"throughput\",\n  \"model\": \"resnet{}_quadratic\",\n  \
-\"input\": {:?},\n  \"smoke\": {smoke},\n  \"samples\": {samples},\n  \
-\"host_cpus\": {host_cpus},\n  \"note\": \"{note}\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        net.config().depth,
-        input.shape().dims(),
-        records.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        eprintln!("recorded {path}");
-    }
-
-    let mut group = c.benchmark_group("throughput");
-    group.sample_size(samples);
-    for &threads in &[1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("predict_batch", format!("{threads}t")),
-            &threads,
-            |b, &threads| {
-                qn_parallel::with_max_threads(threads, || {
-                    b.iter(|| std::hint::black_box(session.predict_batch(&input).sum()))
-                })
-            },
-        );
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -39,8 +39,8 @@
 //! # server.shutdown();
 //! ```
 //!
-//! The companion binary `qn-serve-bench` load-tests a server over loopback
-//! at stepped offered rates and writes `BENCH_serving.json`.
+//! The `serving` bench in `qn-bench` load-tests a server over loopback at
+//! stepped offered rates and writes `BENCH_serving.json`.
 //!
 //! # Panics
 //!

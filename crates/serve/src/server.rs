@@ -367,13 +367,10 @@ impl Server {
         metrics_json(&self.shared)
     }
 
-    /// A route's flushed-batch-size distribution as `(size, count)` pairs
-    /// (the load generator reports this next to the latency percentiles).
-    pub fn route_batch_dist(&self, name: &str) -> Option<Vec<(usize, u64)>> {
-        self.shared
-            .routes
-            .get(name)
-            .map(|r| r.metrics.batch_size_dist())
+    /// A route's serving metrics (the load generator reports its batch-size
+    /// distribution and flush triggers next to the client latencies).
+    pub fn route_metrics(&self, name: &str) -> Option<&RouteMetrics> {
+        self.shared.routes.get(name).map(|r| &r.metrics)
     }
 
     /// Graceful shutdown: stop admissions (queued samples answer 503),
